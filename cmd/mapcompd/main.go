@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	mapcompd [-addr :8391] [-workers N] [-cache-bytes N] [-cache-shards N]
+//	mapcompd [-addr :8391] [-workers N] [-cache-bytes N]
 //	         [-compose-timeout D] [-data-dir DIR] [-snapshot-every N]
-//	         [-warm] [-rewarm] [-delta=false] [-wire]
+//	         [-warm] [-rewarm]
 //	         [-log-format text|json] [-slow-ms N] [-debug-addr HOST:PORT]
 //	         [file.mc ...]
 //
@@ -77,30 +77,15 @@
 // server diffs the old and new snapshots and drops only the entries
 // whose composition route actually changed; every other entry migrates
 // in place, keeping its key and pre-encoded bytes ("entries_migrated"
-// vs "entries_dropped" in /v1/stats). -delta=false reverts to the
-// wipe-on-write baseline for A/B comparison. With -rewarm a background
-// loop recomputes invalidated pairs — hottest first — as soon as a
-// mutation drops them, so steady read traffic finds the cache already
-// rebuilt ("rewarm_queue_depth" and "rewarmed" in /v1/stats).
+// vs "entries_dropped" in /v1/stats). With -rewarm a background loop
+// recomputes invalidated pairs — hottest first — as soon as a mutation
+// drops them, so steady read traffic finds the cache already rebuilt
+// ("rewarm_queue_depth" and "rewarmed" in /v1/stats).
 //
 // The cache is bounded by -cache-bytes (exact pre-encoded body sizes
-// plus per-entry overhead; default 64 MiB). -cache-size still bounds it
-// by entry count, deprecated and 0 (unbounded) by default; a negative
-// -cache-size disables caching entirely.
-//
-// # Binary wire format
-//
-// -wire enables the opt-in length-prefixed binary encoding of the
-// compose endpoints (Content-Type/Accept application/x-mapcomp-wire):
-// requests may POST binary bodies, responses are negotiated per request
-// via the Accept header, and cache entries pre-encode their binary hit
-// body alongside the JSON one, so binary hits serve stored bytes
-// verbatim exactly like JSON hits. The binary and JSON documents are
-// interchangeable — decoding a binary response yields the same struct
-// as the JSON body of the identical request — and mapcompose
-// -decode-wire converts a binary document back to canonical JSON.
-// Without -wire a binary request body is answered with 415 and Accept
-// is ignored, keeping the JSON-only surface unchanged.
+// plus per-entry overhead; default 64 MiB). -cache-bytes 0 removes the
+// byte budget, and the cache then falls back to server.DefaultCacheSize
+// (256) entries. Its shard count derives from GOMAXPROCS.
 //
 // # Preemption
 //
@@ -139,13 +124,7 @@ func main() {
 	addr := flag.String("addr", ":8391", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20,
-		"result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = unbounded)")
-	cacheSize := flag.Int("cache-size", 0,
-		"deprecated: result cache bound in entries (0 = bytes-only via -cache-bytes; negative disables caching)")
-	cacheShards := flag.Int("cache-shards", 0,
-		"result cache shards, rounded up to a power of two, max 64 (0 = derived from GOMAXPROCS); /v1/stats reports per-shard entry counts")
-	delta := flag.Bool("delta", true,
-		"delta cache invalidation: migrate unaffected cache entries across catalog mutations (false = wipe-on-write baseline, for A/B)")
+		fmt.Sprintf("result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = no byte budget: the cache keeps at most %d entries)", server.DefaultCacheSize))
 	rewarm := flag.Bool("rewarm", false,
 		"recompute invalidated pairs in the background after each mutation, hottest first")
 	composeTimeout := flag.Duration("compose-timeout", 30*time.Second,
@@ -158,8 +137,6 @@ func main() {
 	slowMS := flag.Int64("slow-ms", 0, "log requests slower than N milliseconds with their request id (0 disables)")
 	debugAddr := flag.String("debug-addr", "",
 		"private listener serving net/http/pprof and /metrics (empty disables; keep it off the public address)")
-	wire := flag.Bool("wire", false,
-		"enable the length-prefixed binary wire format: compose/batch accept Content-Type/Accept "+server.WireContentType+" and cache entries pre-encode binary hit bodies")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat)
@@ -211,11 +188,9 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Catalog: cat, CacheSize: *cacheSize, CacheBytes: *cacheBytes, CacheShards: *cacheShards,
-		Persist: store, ComposeTimeout: *composeTimeout,
-		DisableDelta: !*delta, Rewarm: *rewarm,
+		Catalog: cat, CacheBytes: *cacheBytes,
+		Persist: store, ComposeTimeout: *composeTimeout, Rewarm: *rewarm,
 		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
-		BinaryWire:  *wire,
 		Logger:      logger,
 	})
 	// ReadHeaderTimeout defeats slowloris header dribbling and

@@ -20,13 +20,6 @@
 // constraint, and whether the mapping as a whole yields a derived
 // σB→σA inverse (the edges the catalog would add for bidirectional
 // resolution). The exit status is 0 only when every map inverts.
-//
-// With -decode-wire the command reads one binary wire document (the
-// application/x-mapcomp-wire format a mapcompd -wire daemon serves)
-// from stdin and prints it as canonical indented JSON — the round-trip
-// partner for curl requests that negotiated the binary encoding:
-//
-//	curl -s -H 'Accept: application/x-mapcomp-wire' ... | mapcompose -decode-wire
 package main
 
 import (
@@ -47,25 +40,9 @@ func main() {
 	invert := flag.Bool("invert", false, "report per-mapping inversion verdicts instead of composing")
 	format := flag.String("format", "text", "output format: text or json")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole run; preempted compositions fail (0 = none)")
-	decodeWire := flag.Bool("decode-wire", false,
-		"read one binary wire document ("+server.WireContentType+") from stdin and print it as JSON")
 	flag.Parse()
 	if *format != "text" && *format != "json" {
 		usage(fmt.Errorf("unknown format %q (want text or json)", *format))
-	}
-	if *decodeWire {
-		doc, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		v, err := server.DecodeBinary(doc)
-		if err != nil {
-			fatal(err)
-		}
-		if err := server.EncodeWire(os.Stdout, v, "  "); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	if flag.NArg() > 1 {
 		usage(fmt.Errorf("expected at most one input file, got %d arguments", flag.NArg()))
@@ -221,7 +198,7 @@ func reportInversions(problem *mapcomp.Problem, format string) {
 
 func usage(err error) {
 	fmt.Fprintln(os.Stderr, "mapcompose:", err)
-	fmt.Fprintln(os.Stderr, "usage: mapcompose [-v] [-invert] [-decode-wire] [-format text|json] [file.mc]")
+	fmt.Fprintln(os.Stderr, "usage: mapcompose [-v] [-invert] [-format text|json] [file.mc]")
 	os.Exit(2)
 }
 

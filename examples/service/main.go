@@ -14,8 +14,7 @@
 //
 // Composition results live in a sharded cache keyed on (catalog
 // generation, endpoint pair, config fingerprint). The shard count
-// derives from GOMAXPROCS (mapcompd -cache-shards overrides it), keys
-// hash to shards, and each entry stores the response pre-encoded in the
+// derives from GOMAXPROCS, keys hash to shards, and each entry stores the response pre-encoded in the
 // wire format — so a repeated request is a lock-free shard probe plus a
 // byte copy, with no JSON marshaling and no cross-shard lock traffic.
 // GET /v1/results/{key} serves the same pre-encoded bytes, and
@@ -116,9 +115,8 @@ func main() {
 	// same route generation, no ELIMINATE re-run); re-registering the
 	// chain itself invalidates exactly the routes through it, so the
 	// next compose is cold again. /v1/stats splits each publish into
-	// entries_migrated vs entries_dropped. mapcompd -delta=false reverts
-	// to wipe-on-write for A/B, and -rewarm recomputes dropped pairs in
-	// the background, hottest first.
+	// entries_migrated vs entries_dropped. mapcompd -rewarm recomputes
+	// dropped pairs in the background, hottest first.
 	post(ts.URL+"/v1/register", "text/plain", "schema unrelated { U/1; }")
 	survived := post(ts.URL+"/v1/compose", "application/json", `{"from":"original","to":"split"}`)
 	fmt.Printf("\nafter an unrelated registration: cached=%v, key=%v (entry migrated in place)\n",
@@ -172,48 +170,6 @@ func main() {
 			fmt.Printf("  %s\n", line)
 		}
 	}
-
-	// 9. The binary wire. A daemon started with `mapcompd -wire` also
-	// speaks a length-prefixed binary encoding: send it with
-	// `Content-Type: application/x-mapcomp-wire`, request it with
-	// `Accept:` the same. The negotiation is strictly per request — JSON
-	// clients on the same daemon are untouched — and a cache hit serves
-	// pre-encoded binary bytes, just like the JSON path. From a shell:
-	//
-	//	curl -s -H 'Accept: application/x-mapcomp-wire' \
-	//	  -d '{"from":"original","to":"split"}' \
-	//	  localhost:8080/v1/compose | mapcompose -decode-wire
-	//
-	// Here the round trip runs in process: the binary body decodes to the
-	// exact struct the JSON response carries.
-	wireTS := httptest.NewServer(server.New(server.Config{BinaryWire: true}))
-	defer wireTS.Close()
-	postRaw(wireTS.URL+"/v1/register", "text/plain", chainTask)
-	jsonBody := post(wireTS.URL+"/v1/compose", "application/json", `{"from":"original","to":"split"}`)
-	req, err := http.NewRequest("POST", wireTS.URL+"/v1/compose",
-		bytes.NewReader([]byte(`{"from":"original","to":"split"}`)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	req.Header.Set("Accept", server.WireContentType)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wireBody, err := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	doc, err := server.DecodeBinary(wireBody)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbinary wire: %d JSON bytes -> %d binary bytes (Content-Type %s)\n",
-		len(jsonBody), len(wireBody), resp2.Header.Get("Content-Type"))
-	fmt.Printf("decoded binary response: from=%v to=%v cached=%v (same document as the JSON body)\n",
-		doc.(*server.ComposeResponse).From, doc.(*server.ComposeResponse).To,
-		doc.(*server.ComposeResponse).Cached)
 }
 
 // jfield extracts one top-level field of a JSON document as raw JSON.

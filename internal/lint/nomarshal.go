@@ -10,17 +10,12 @@ import (
 const serverPkg = "mapcomp/internal/server"
 
 // marshalFuncs are the only internal/server functions allowed to encode
-// response bodies: EncodeWire is the single canonical JSON encoder,
-// marshalWire its counted wrapper, and marshalBinary/MarshalBinary the
-// second sanctioned encode path — the counted binary wire encoder
-// (runtime mirror: the binEncodes counter) every binary response body
-// goes through. The runtime mirror for JSON is the wireEncodes counter
-// asserted by BenchmarkServerComposeHit.
+// response bodies: EncodeWire is the single canonical JSON encoder and
+// marshalWire its counted wrapper. The runtime mirror is the
+// wireEncodes counter asserted by BenchmarkServerComposeHit.
 var marshalFuncs = map[string]bool{
-	"EncodeWire":    true,
-	"marshalWire":   true,
-	"MarshalBinary": true,
-	"marshalBinary": true,
+	"EncodeWire":  true,
+	"marshalWire": true,
 }
 
 // NoMarshal proves the PR 5 zero-marshal contract at compile time: no
@@ -32,8 +27,7 @@ var marshalFuncs = map[string]bool{
 var NoMarshal = &Analyzer{
 	Name: "nomarshal",
 	Doc: "forbid json.Marshal/Encoder.Encode reachable from internal/server " +
-		"handlers except via marshalWire/EncodeWire or the counted binary " +
-		"encoder marshalBinary (PR 5 zero-marshal hit path)",
+		"handlers except via marshalWire/EncodeWire (PR 5 zero-marshal hit path)",
 	Run: runNoMarshal,
 }
 

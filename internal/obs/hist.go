@@ -119,23 +119,6 @@ func (s *HistSnapshot) Merge(o *HistSnapshot) {
 	}
 }
 
-// Sub returns the observations in s but not in prev — the phase delta
-// between two snapshots of one histogram. Counts saturate at zero, so a
-// racy pair of snapshots cannot underflow.
-func (s *HistSnapshot) Sub(prev *HistSnapshot) *HistSnapshot {
-	out := &HistSnapshot{}
-	if s.Sum > prev.Sum {
-		out.Sum = s.Sum - prev.Sum
-	}
-	for i := range s.Buckets {
-		if s.Buckets[i] > prev.Buckets[i] {
-			out.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-			out.Count += out.Buckets[i]
-		}
-	}
-	return out
-}
-
 // rank converts a quantile to a 1-based order-statistic rank.
 func (s *HistSnapshot) rank(q float64) uint64 {
 	r := uint64(math.Ceil(q * float64(s.Count)))

@@ -188,31 +188,6 @@ func TestMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestSubPhaseDelta pins the temporal-diff use benchsnap relies on: the
-// delta between two snapshots of one histogram is exactly the
-// observations recorded in between.
-func TestSubPhaseDelta(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(1000 + i))
-	}
-	before := h.Snapshot()
-	for i := 0; i < 50; i++ {
-		h.Observe(time.Duration(1 << 30))
-	}
-	delta := h.Snapshot().Sub(before)
-	if delta.Count != 50 {
-		t.Fatalf("delta count = %d, want 50", delta.Count)
-	}
-	if got := delta.Sum; got != 50*(1<<30) {
-		t.Fatalf("delta sum = %d, want %d", got, 50*(1<<30))
-	}
-	lo, hi := delta.QuantileBounds(0.5)
-	if int64(lo) > 1<<30 || 1<<30 > int64(hi) {
-		t.Fatalf("delta p50 bounds [%d,%d] exclude the only value", lo, hi)
-	}
-}
-
 // TestConcurrentObserveSnapshot is the -race hammer: many observers
 // against concurrent snapshot readers, then an exact final count.
 func TestConcurrentObserveSnapshot(t *testing.T) {

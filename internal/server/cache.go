@@ -95,24 +95,19 @@ type cacheEntry struct {
 	pair pairKey
 	skey string
 	resp *ComposeResponse
-	enc  []byte // pre-encoded wire body with cached=true; nil only if encoding failed
-	// encBin is the same cached=true body pre-encoded in the binary wire
-	// format; nil unless the cache was built with bin=true (the server's
-	// BinaryWire option), so the JSON-only deployment pays no extra bytes.
-	encBin []byte
-	size   int64         // exact byte charge: len(enc)+len(encBin)+len(skey)+entryOverhead
-	gen    atomic.Uint64 // validated-at watermark; bumped in place by migrate
-	used   atomic.Int64  // shard clock value at last touch (approximate LRU)
+	enc  []byte        // pre-encoded wire body with cached=true; nil only if encoding failed
+	size int64         // exact byte charge: len(enc)+len(skey)+entryOverhead
+	gen  atomic.Uint64 // validated-at watermark; bumped in place by migrate
+	used atomic.Int64  // shard clock value at last touch (approximate LRU)
 }
 
 // newCacheEntry builds the stored form of a freshly computed response,
 // paying the single hit-path encode up front: every future hit writes
 // enc verbatim. gen is the generation of the snapshot the response was
-// computed under; bin additionally pre-encodes the binary wire body so
-// binary hits also serve stored bytes. An encoding failure (impossible
-// for the wire types, but kept non-fatal) leaves enc nil and the
-// handlers fall back to marshaling per hit.
-func newCacheEntry(pair pairKey, resp *ComposeResponse, gen uint64, bin bool) *cacheEntry {
+// computed under. An encoding failure (impossible for the wire types,
+// but kept non-fatal) leaves enc nil and the handlers fall back to
+// marshaling per hit.
+func newCacheEntry(pair pairKey, resp *ComposeResponse, gen uint64) *cacheEntry {
 	ent := &cacheEntry{pair: pair, skey: resp.Key, resp: resp}
 	ent.gen.Store(gen)
 	hit := *resp
@@ -120,12 +115,7 @@ func newCacheEntry(pair pairKey, resp *ComposeResponse, gen uint64, bin bool) *c
 	if b, err := marshalWire(&hit); err == nil {
 		ent.enc = b
 	}
-	if bin {
-		if b, err := MarshalBinary(&hit); err == nil {
-			ent.encBin = b
-		}
-	}
-	ent.size = int64(len(ent.enc)+len(ent.encBin)+len(ent.skey)) + entryOverhead
+	ent.size = int64(len(ent.enc)+len(ent.skey)) + entryOverhead
 	return ent
 }
 
@@ -176,9 +166,6 @@ type cacheShard struct {
 type resultCache struct {
 	shards []*cacheShard
 	mask   uint64
-	// bin makes every stored entry pre-encode its binary wire body too
-	// (server Config.BinaryWire); fixed at construction.
-	bin bool
 }
 
 // minShardCap is the smallest per-shard entry capacity worth sharding
@@ -214,11 +201,10 @@ func nextPow2(n int) int {
 // bound) and maxBytes bytes (0 = no byte budget) across shards shards
 // (0 = derived from GOMAXPROCS; other values round up to a power of
 // two, capped at 64 like the derivation — the cap also keeps an absurd
-// -cache-shards from overflowing nextPow2). The shard count is reduced
-// until every shard's slice of whichever bound is active stays useful,
-// so small caches keep tight bounds. bin makes entries pre-encode their
-// binary wire bodies (see cacheEntry.encBin).
-func newResultCache(max int, maxBytes int64, shards int, bin bool) *resultCache {
+// Config.CacheShards from overflowing nextPow2). The shard count is
+// reduced until every shard's slice of whichever bound is active stays
+// useful, so small caches keep tight bounds.
+func newResultCache(max int, maxBytes int64, shards int) *resultCache {
 	n := shards
 	if n <= 0 {
 		n = defaultShardCount()
@@ -238,7 +224,7 @@ func newResultCache(max int, maxBytes int64, shards int, bin bool) *resultCache 
 		}
 		break
 	}
-	c := &resultCache{shards: make([]*cacheShard, n), mask: uint64(n - 1), bin: bin}
+	c := &resultCache{shards: make([]*cacheShard, n), mask: uint64(n - 1)}
 	base, rem := max/n, max%n
 	bBase, bRem := maxBytes/int64(n), maxBytes%int64(n)
 	for i := range c.shards {
@@ -336,7 +322,7 @@ func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute 
 		cl.err = err
 		if err == nil {
 			// Encode outside the lock: the store below is map copies only.
-			cl.ent = newCacheEntry(pair, resp, snapGen, c.bin)
+			cl.ent = newCacheEntry(pair, resp, snapGen)
 		}
 
 		sh.mu.Lock()
@@ -439,13 +425,12 @@ type migration struct {
 
 // migrate transitions the cache across a catalog publish oldGen→newGen.
 // invalid reports whether a pair's route changed across the publish
-// (ComputeDelta's Invalidated); a nil invalid means "everything
-// changed" — the wipe-on-write baseline, used when delta invalidation
-// is disabled. For every entry validated before newGen: if its route is
-// unchanged and its watermark is exactly the published range's floor or
-// newer, the watermark is bumped to newGen in place — the entry keeps
-// its identity, its pre-encoded bytes and its recency, and concurrent
-// lock-free hits keep being served off the existing view throughout.
+// (ComputeDelta's Invalidated). For every entry validated before
+// newGen: if its route is unchanged and its watermark is exactly the
+// published range's floor or newer, the watermark is bumped to newGen
+// in place — the entry keeps its identity, its pre-encoded bytes and
+// its recency, and concurrent lock-free hits keep being served off the
+// existing view throughout.
 // Entries whose route changed are dropped, as are strays validated
 // before oldGen (an insert that raced past earlier publishes; its route
 // may have changed across a span this delta does not cover, so dropping
@@ -462,7 +447,7 @@ func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to strin
 				continue
 			}
 			m.candidates++
-			if g < oldGen || invalid == nil || invalid(e.pair.from, e.pair.to) {
+			if g < oldGen || invalid(e.pair.from, e.pair.to) {
 				drops = append(drops, e)
 				continue
 			}

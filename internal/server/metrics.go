@@ -202,15 +202,3 @@ func (s *Server) writeServerMetrics(buf *bytes.Buffer) {
 		}
 	}
 }
-
-// ComposeLatencySnapshot merges the compose route's per-outcome request
-// histograms into one distribution. cmd/benchsnap diffs successive
-// snapshots to report per-phase p50/p99/p999 (the histograms are
-// process-global, so phase isolation is temporal, not structural).
-func ComposeLatencySnapshot() *obs.HistSnapshot {
-	out := &obs.HistSnapshot{}
-	for _, h := range composeSeconds {
-		out.Merge(h.Snapshot())
-	}
-	return out
-}

@@ -9,13 +9,11 @@ import (
 )
 
 // onPublish is the catalog publish hook: it transitions the result
-// cache across one catalog mutation. With delta invalidation on it
-// diffs the two snapshots and drops exactly the pairs whose route
-// changed, migrating every other entry in place; with it off
-// (Config.DisableDelta) it passes a nil predicate and migrate drops
-// every pre-publish entry — the wipe-on-write baseline. Either way the
-// singleflight and lock-free hit machinery keep running throughout: the
-// hook only bumps watermarks and republishes shard views.
+// cache across one catalog mutation: it diffs the two snapshots and
+// drops exactly the pairs whose route changed, migrating every other
+// entry in place. The singleflight and lock-free hit machinery keep
+// running throughout: the hook only bumps watermarks and republishes
+// shard views.
 //
 // The hook runs inside the catalog's write lock, so it is strictly
 // ordered — migration for generation N completes before the mutation
@@ -31,19 +29,13 @@ import (
 // rewarm worker composes under the then-current snapshot and skips
 // pairs that fail.
 func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
-	var invalid func(from, to string) bool
-	var gained [][2]string
-	if !s.deltaOff {
-		start := time.Now()
-		d := catalog.ComputeDelta(oldSnap, newSnap)
-		dd := time.Since(start)
-		s.deltaUS.Add(dd.Microseconds()) // benchsnap's mean; the histogram has the tail
-		deltaComputeSeconds.Observe(dd)
-		invalid = d.Invalidated
-		gained = d.Gained
-	}
+	start := time.Now()
+	delta := catalog.ComputeDelta(oldSnap, newSnap)
+	dd := time.Since(start)
+	s.deltaUS.Add(dd.Microseconds()) // /v1/stats's running total; the histogram has the tail
+	deltaComputeSeconds.Observe(dd)
 	migStart := time.Now()
-	m := s.cache.migrate(oldSnap.Generation(), newSnap.Generation(), invalid)
+	m := s.cache.migrate(oldSnap.Generation(), newSnap.Generation(), delta.Invalidated)
 	cacheMigrateSeconds.Observe(time.Since(migStart))
 	s.migrations.Add(1)
 	s.entriesMigrated.Add(int64(m.migrated))
@@ -58,7 +50,7 @@ func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
 		for _, d := range m.droppedHot {
 			s.rewarmQ.add(d.pair, d.used)
 		}
-		for _, p := range gained {
+		for _, p := range delta.Gained {
 			// Never composed, so no recency: queue behind every dropped
 			// pair that had one.
 			s.rewarmQ.add(pairKey{from: p[0], to: p[1], cfg: s.cfgFP}, 0)

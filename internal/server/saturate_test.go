@@ -46,19 +46,20 @@ func newSaturationServer(t *testing.T) *Server {
 }
 
 // TestCacheShardClamp pins the shard-count clamp: an absurd
-// -cache-shards lands on the 64 cap (before the clamp, 2^62+1 made
-// nextPow2 overflow int and loop forever, hanging the daemon at boot),
-// and a tiny cache collapses to one shard so its bound stays exact.
+// Config.CacheShards lands on the 64 cap (before the clamp, 2^62+1 made
+// nextPow2 overflow int and loop forever, hanging the server at
+// construction), and a tiny cache collapses to one shard so its bound
+// stays exact.
 func TestCacheShardClamp(t *testing.T) {
-	if got := len(newResultCache(512, 0, (1<<62)+1, false).shards); got != 64 {
+	if got := len(newResultCache(512, 0, (1<<62)+1).shards); got != 64 {
 		t.Fatalf("shards = %d, want the 64 cap", got)
 	}
-	if got := len(newResultCache(4, 0, 8, false).shards); got != 1 {
+	if got := len(newResultCache(4, 0, 8).shards); got != 1 {
 		t.Fatalf("tiny cache shards = %d, want 1", got)
 	}
 	// A bytes-only bound clamps the same way: too small a budget to
 	// slice usefully collapses to one shard.
-	if got := len(newResultCache(0, 8<<10, 8, false).shards); got != 1 {
+	if got := len(newResultCache(0, 8<<10, 8).shards); got != 1 {
 		t.Fatalf("tiny byte-budget shards = %d, want 1", got)
 	}
 }

@@ -65,18 +65,18 @@ type Config struct {
 	Catalog *catalog.Catalog
 	// CacheSize bounds the result cache in entries. 0 means
 	// DefaultCacheSize unless CacheBytes sets a byte budget; negative
-	// disables caching and coalescing entirely (used by the cold-path
-	// benchmark). Deprecated in mapcompd in favour of -cache-bytes;
-	// kept as the exact entry bound for callers that want one.
+	// disables caching and coalescing entirely (the uncached oracle of
+	// the equivalence tests and the cold-path benchmark).
 	CacheSize int
 	// CacheBytes bounds the result cache by exact byte footprint
 	// (pre-encoded body sizes plus fixed per-entry overhead). 0 means
-	// no byte budget. Both bounds apply when both are set.
+	// no byte budget. Both bounds apply when both are set; with both 0
+	// the cache falls back to DefaultCacheSize entries.
 	CacheBytes int64
-	// CacheShards sets the result cache's shard count (mapcompd's
-	// -cache-shards). 0 derives a power of two from GOMAXPROCS; other
-	// values round up to a power of two, capped at 64. Small caches
-	// reduce the count so per-shard capacity stays useful.
+	// CacheShards sets the result cache's shard count. 0 derives a
+	// power of two from GOMAXPROCS; other values round up to a power of
+	// two, capped at 64. Small caches reduce the count so per-shard
+	// capacity stays useful.
 	CacheShards int
 	// Compose selects the algorithm configuration; nil means
 	// core.DefaultConfig().
@@ -92,11 +92,6 @@ type Config struct {
 	// attempts and surfaces as 504 with the partial statistics; the
 	// result is never cached.
 	ComposeTimeout time.Duration
-	// DisableDelta reverts cache invalidation to the wipe-on-write
-	// baseline: every catalog publish drops every pre-publish entry
-	// instead of migrating the unaffected ones (mapcompd -delta=false,
-	// for A/B benchmarking the delta machinery).
-	DisableDelta bool
 	// Rewarm enables the background rewarm queue: pairs a publish
 	// invalidated (and pairs that became newly reachable) are queued,
 	// hottest first, for recomputation by Server.Rewarm. The caller
@@ -108,13 +103,6 @@ type Config struct {
 	// disables sampling — and with it the response-writer wrapping, so
 	// the hit path is untouched.
 	SlowRequest time.Duration
-	// BinaryWire enables the length-prefixed binary wire format
-	// (mapcompd -wire): compose/batch requests may POST binary bodies
-	// (Content-Type: application/x-mapcomp-wire) and ask for binary
-	// responses (Accept: the same), and cache entries pre-encode their
-	// binary hit body alongside the JSON one. Off by default; a binary
-	// body sent to a JSON-only server is answered with 415.
-	BinaryWire bool
 	// Logger receives slow-request samples; nil means slog.Default().
 	Logger *slog.Logger
 }
@@ -128,10 +116,8 @@ type Server struct {
 	cacheCap int
 	persist  *persist.Store // nil without a durability backend
 	timeout  time.Duration  // server-side compose deadline; 0 = none
-	deltaOff bool           // wipe-on-write baseline (Config.DisableDelta)
 	rewarmQ  *rewarmQueue   // nil unless Config.Rewarm
 	slow     time.Duration  // slow-request log threshold; 0 = off
-	binWire  bool           // binary wire format negotiable (Config.BinaryWire)
 	logger   *slog.Logger
 	mux      *http.ServeMux
 
@@ -172,8 +158,7 @@ type migrationRecord struct {
 // whoever drives it — migrates the cache by the snapshot delta.
 func New(cfg Config) *Server {
 	s := &Server{cat: cfg.Catalog, cfg: cfg.Compose, persist: cfg.Persist,
-		timeout: cfg.ComposeTimeout, deltaOff: cfg.DisableDelta,
-		slow: cfg.SlowRequest, binWire: cfg.BinaryWire, logger: cfg.Logger}
+		timeout: cfg.ComposeTimeout, slow: cfg.SlowRequest, logger: cfg.Logger}
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
@@ -189,7 +174,7 @@ func New(cfg Config) *Server {
 		size = DefaultCacheSize
 	}
 	if size >= 0 {
-		s.cache = newResultCache(size, cfg.CacheBytes, cfg.CacheShards, cfg.BinaryWire)
+		s.cache = newResultCache(size, cfg.CacheBytes, cfg.CacheShards)
 		s.cacheCap = size
 		if size == 0 {
 			// Bytes-only bound: cap Warm's pair sweep at the smallest
@@ -366,39 +351,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeRaw(w, code, body)
 }
 
-// writeRawBin serves a pre-encoded binary wire document. No trailing
-// newline: the length-prefixed format is self-delimiting.
-func writeRawBin(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", WireContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
-}
-
-// writeBin is writeJSON's binary twin: one counted encode, then the
-// raw write.
-func writeBin(w http.ResponseWriter, code int, v any) {
-	body, err := marshalBinary(v)
-	if err != nil {
-		http.Error(w, `{"error":"server: response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	writeRawBin(w, code, body)
-}
-
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorJSON{Error: err.Error(), RequestID: requestID(w)})
-}
-
-// writeErrorBody renders a structured error in the wire format the
-// request accepted — the compose endpoints negotiate even their
-// failures, so a binary client never has to switch decoders.
-func writeErrorBody(w http.ResponseWriter, code int, body *ErrorJSON, bin bool) {
-	if bin {
-		writeBin(w, code, body)
-		return
-	}
-	writeJSON(w, code, body)
 }
 
 // composeStatus maps a resolution/composition error to an HTTP status:
@@ -484,23 +438,14 @@ func (s *Server) composeContext(ctx context.Context, timeoutMS int64) (context.C
 // writeBodyError classifies a body-read failure: an http.MaxBytesReader
 // overflow is an explicit 413 — and closes the connection — rather than
 // a silently-truncated prefix that might parse or an unbounded read an
-// attacker can drive to OOM; anything else is a 400. bin renders the
-// error in the binary wire format for clients that negotiated it.
-func writeBodyErrorNeg(w http.ResponseWriter, what string, err error, bin bool) {
-	code := http.StatusBadRequest
-	var msg string
+// attacker can drive to OOM; anything else is a 400.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
-		msg = fmt.Sprintf("server: %s body exceeds %d bytes", what, tooBig.Limit)
-	} else {
-		msg = fmt.Sprintf("server: bad %s request: %v", what, err)
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: %s body exceeds %d bytes", what, tooBig.Limit))
+		return
 	}
-	writeErrorBody(w, code, &ErrorJSON{Error: msg, RequestID: requestID(w)}, bin)
-}
-
-func writeBodyError(w http.ResponseWriter, what string, err error) {
-	writeBodyErrorNeg(w, what, err, false)
+	writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad %s request: %v", what, err))
 }
 
 // readBody drains the request body through http.MaxBytesReader.
@@ -647,19 +592,10 @@ func respond(resp *ComposeResponse, kind hitKind) *ComposeResponse {
 
 // writeEntry serves one composition outcome. Anything served from the
 // cache — a hit, a coalesced waiter — writes the entry's pre-encoded
-// cached=true bytes verbatim (zero marshals, JSON or binary according
-// to what the request accepted); the caller that computed pays the one
-// encode for its cached=false body. The nil-enc fallback covers
-// cache-disabled servers and the (theoretical) encode failure.
-func writeEntry(w http.ResponseWriter, ent *cacheEntry, kind hitKind, bin bool) {
-	if bin {
-		if kind != computed && ent.encBin != nil {
-			writeRawBin(w, http.StatusOK, ent.encBin)
-			return
-		}
-		writeBin(w, http.StatusOK, respond(ent.resp, kind))
-		return
-	}
+// cached=true bytes verbatim (zero marshals); the caller that computed
+// pays the one encode for its cached=false body. The nil-enc fallback
+// covers cache-disabled servers and the (theoretical) encode failure.
+func writeEntry(w http.ResponseWriter, ent *cacheEntry, kind hitKind) {
 	if kind != computed && ent.enc != nil {
 		writeRaw(w, http.StatusOK, ent.enc)
 		return
@@ -668,16 +604,9 @@ func writeEntry(w http.ResponseWriter, ent *cacheEntry, kind hitKind, bin bool) 
 }
 
 // entryWire returns the wire bytes of one outcome for splicing into a
-// batch envelope: cached outcomes reuse the entry's pre-encoded bytes
-// (JSON or binary per the negotiated response format), fresh
-// computations encode once.
-func entryWire(ent *cacheEntry, kind hitKind, bin bool) ([]byte, error) {
-	if bin {
-		if kind != computed && ent.encBin != nil {
-			return ent.encBin, nil
-		}
-		return marshalBinary(respond(ent.resp, kind))
-	}
+// batch envelope: cached outcomes reuse the entry's pre-encoded bytes,
+// fresh computations encode once.
+func entryWire(ent *cacheEntry, kind hitKind) ([]byte, error) {
 	if kind != computed && ent.enc != nil {
 		return ent.enc, nil
 	}
@@ -699,7 +628,7 @@ const maxPooledBody = 64 << 10
 // bytes are no longer referenced — the zero-alloc scanner hands out
 // sub-slices of it, so the return must happen after the request is
 // fully served, never earlier. A MaxBytesReader overflow surfaces as
-// the error (classify with writeBodyErrorNeg → 413).
+// the error (classify with writeBodyError → 413).
 func readBodyBuf(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
@@ -743,38 +672,16 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 // Anything the scanner declines falls back to json.Unmarshal with
 // identical semantics (FuzzComposeRequest enforces the equivalence).
 func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOutcome {
-	var binReq, wantBin bool
-	if s.binWire {
-		binReq = r.Header.Get("Content-Type") == WireContentType
-		wantBin = r.Header.Get("Accept") == WireContentType
-	} else if r.Header.Get("Content-Type") == WireContentType {
-		writeError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("server: binary wire format disabled (start mapcompd with -wire)"))
-		return outError
-	}
 	buf, err := readBodyBuf(w, r)
 	if err != nil {
-		writeBodyErrorNeg(w, "compose", err, wantBin)
+		writeBodyError(w, "compose", err)
 		return outError
 	}
 	defer putBodyBuf(buf)
 	body := buf.Bytes()
 
-	var view composeReqView
-	var scanned bool
-	if binReq {
-		view, err = scanBinaryComposeRequest(body)
-		if err != nil {
-			writeErrorBody(w, http.StatusBadRequest,
-				&ErrorJSON{Error: "server: bad compose request: " + err.Error(), RequestID: requestID(w)}, wantBin)
-			return outError
-		}
-		scanned = true
-	} else {
-		view, scanned = scanComposeRequest(body)
-	}
 	var req ComposeRequest
-	if scanned {
+	if view, scanned := scanComposeRequest(body); scanned {
 		if s.cache != nil && !view.trace && len(view.from) > 0 && len(view.to) > 0 {
 			// The zero-copy fast path: probe with strings aliasing the
 			// body buffer. A hit is served entirely from stored bytes; a
@@ -782,18 +689,17 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 			// (which owns every string it retains).
 			if ent, ok := s.cache.probe(view.pair(s.cfgFP), s.cat.Generation()); ok {
 				s.cacheHits.Add(1)
-				writeEntry(w, ent, cacheHit, wantBin)
+				writeEntry(w, ent, cacheHit)
 				return outHit
 			}
 		}
 		req = view.request()
 	} else if err := json.Unmarshal(body, &req); err != nil {
-		writeBodyErrorNeg(w, "compose", err, wantBin)
+		writeBodyError(w, "compose", err)
 		return outError
 	}
 	if req.From == "" || req.To == "" {
-		writeErrorBody(w, http.StatusBadRequest,
-			&ErrorJSON{Error: "server: compose request needs from and to", RequestID: requestID(w)}, wantBin)
+		writeError(w, http.StatusBadRequest, errors.New("server: compose request needs from and to"))
 		return outError
 	}
 	ctx, cancel := s.composeContext(r.Context(), req.TimeoutMS)
@@ -813,7 +719,7 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 		status := composeStatus(err)
 		errBody := s.composeError(req.From, req.To, err)
 		errBody.RequestID = requestID(w)
-		writeErrorBody(w, status, &errBody, wantBin)
+		writeJSON(w, status, &errBody)
 		if status == http.StatusGatewayTimeout {
 			return outTimeout
 		}
@@ -822,13 +728,9 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 	if tr != nil {
 		resp := respond(ent.resp, kind)
 		resp.Trace = newTraceJSON(requestID(w), tr)
-		if wantBin {
-			writeBin(w, http.StatusOK, resp)
-		} else {
-			writeJSON(w, http.StatusOK, resp)
-		}
+		writeJSON(w, http.StatusOK, resp)
 	} else {
-		writeEntry(w, ent, kind, wantBin)
+		writeEntry(w, ent, kind)
 	}
 	switch kind {
 	case cacheHit:
@@ -850,8 +752,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchOut is one in-flight batch outcome: raw holds the item's
-// pre-encoded response document (JSON or binary, per the negotiated
-// response format), status/errBody the structured failure — the same
+// pre-encoded response document, status/errBody the structured
+// failure — the same
 // ErrorJSON body and HTTP status the pair would have produced as a
 // single compose request.
 type batchOut struct {
@@ -861,44 +763,27 @@ type batchOut struct {
 }
 
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
-	var binReq, wantBin bool
-	if s.binWire {
-		binReq = r.Header.Get("Content-Type") == WireContentType
-		wantBin = r.Header.Get("Accept") == WireContentType
-	} else if r.Header.Get("Content-Type") == WireContentType {
-		writeError(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("server: binary wire format disabled (start mapcompd with -wire)"))
-		return false
-	}
 	buf, err := readBodyBuf(w, r)
 	if err != nil {
-		writeBodyErrorNeg(w, "batch", err, wantBin)
+		writeBodyError(w, "batch", err)
 		return false
 	}
 	defer putBodyBuf(buf)
 	body := buf.Bytes()
 
 	var req BatchRequest
-	if binReq {
-		if req, err = scanBinaryBatchRequest(body); err != nil {
-			writeErrorBody(w, http.StatusBadRequest,
-				&ErrorJSON{Error: "server: bad batch request: " + err.Error(), RequestID: requestID(w)}, wantBin)
-			return false
-		}
-	} else if reqs, ok := scanBatchRequest(body); ok {
+	if reqs, ok := scanBatchRequest(body); ok {
 		req.Requests = reqs
 	} else if err := json.Unmarshal(body, &req); err != nil {
-		writeBodyErrorNeg(w, "batch", err, wantBin)
+		writeBodyError(w, "batch", err)
 		return false
 	}
 	if len(req.Requests) == 0 {
-		writeErrorBody(w, http.StatusBadRequest,
-			&ErrorJSON{Error: "server: batch request needs at least one pair", RequestID: requestID(w)}, wantBin)
+		writeError(w, http.StatusBadRequest, errors.New("server: batch request needs at least one pair"))
 		return false
 	}
 	if len(req.Requests) > maxBatch {
-		writeErrorBody(w, http.StatusBadRequest,
-			&ErrorJSON{Error: fmt.Sprintf("server: batch of %d exceeds limit %d", len(req.Requests), maxBatch), RequestID: requestID(w)}, wantBin)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Requests), maxBatch))
 		return false
 	}
 	reqID := requestID(w)
@@ -931,13 +816,9 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 		if tr != nil {
 			resp := respond(ent.resp, kind)
 			resp.Trace = newTraceJSON(reqID, tr)
-			if wantBin {
-				raw, err = marshalBinary(resp)
-			} else {
-				raw, err = marshalWire(resp)
-			}
+			raw, err = marshalWire(resp)
 		} else {
-			raw, err = entryWire(ent, kind, wantBin)
+			raw, err = entryWire(ent, kind)
 		}
 		if err != nil {
 			items[i].status = http.StatusInternalServerError
@@ -963,25 +844,11 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 			}
 		}
 	}
-	if wantBin {
-		out := []byte{wireVersion, binKindBatchResp}
-		out = appendBool(out, canceled)
-		out = appendSeqCount(out, false, len(items))
-		for i := range items {
-			var errDoc []byte
-			if items[i].errBody != nil {
-				errDoc, _ = marshalBinary(items[i].errBody)
-			}
-			out = appendBatchItemRaw(out, items[i].status, items[i].raw, errDoc)
-		}
-		writeRawBin(w, http.StatusOK, out)
-	} else {
-		wireItems := make([]batchItemWire, len(items))
-		for i := range items {
-			wireItems[i] = batchItemWire{Response: items[i].raw, Status: items[i].status, Error: items[i].errBody}
-		}
-		writeJSON(w, http.StatusOK, batchResponseWire{Results: wireItems, Canceled: canceled})
+	wireItems := make([]batchItemWire, len(items))
+	for i := range items {
+		wireItems[i] = batchItemWire{Response: items[i].raw, Status: items[i].status, Error: items[i].errBody}
 	}
+	writeJSON(w, http.StatusOK, batchResponseWire{Results: wireItems, Canceled: canceled})
 	return !canceled
 }
 
@@ -991,7 +858,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		if ent, ok := s.cache.get(key); ok {
 			s.resultFetches.Add(1)
-			writeEntry(w, ent, cacheHit, s.binWire && r.Header.Get("Accept") == WireContentType)
+			writeEntry(w, ent, cacheHit)
 			fetchHitSeconds.Observe(time.Since(start))
 			return
 		}

@@ -297,7 +297,7 @@ type CatalogResponse struct {
 // pass, and Persist carries the durability backend's counters (WAL
 // size, snapshot coverage, recovery summary) when the daemon runs with
 // a data directory. CacheShards is the result cache's shard count
-// (mapcompd -cache-shards, default derived from GOMAXPROCS) and
+// (Config.CacheShards, default derived from GOMAXPROCS) and
 // CacheShardEntries the per-shard entry counts, so an operator can see
 // whether the key-hash distribution is balanced.
 //
