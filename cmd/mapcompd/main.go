@@ -8,7 +8,7 @@
 //
 //	mapcompd [-addr :8391] [-workers N] [-cache-bytes N]
 //	         [-compose-timeout D] [-data-dir DIR] [-snapshot-every N]
-//	         [-warm] [-rewarm]
+//	         [-warm]
 //	         [-log-format text|json] [-slow-ms N] [-debug-addr HOST:PORT]
 //	         [file.mc ...]
 //
@@ -77,15 +77,14 @@
 // server diffs the old and new snapshots and drops only the entries
 // whose composition route actually changed; every other entry migrates
 // in place, keeping its key and pre-encoded bytes ("entries_migrated"
-// vs "entries_dropped" in /v1/stats). With -rewarm a background loop
-// recomputes invalidated pairs — hottest first — as soon as a mutation
-// drops them, so steady read traffic finds the cache already rebuilt
-// ("rewarm_queue_depth" and "rewarmed" in /v1/stats).
+// vs "entries_dropped" in /v1/stats). A dropped pair is recomputed by
+// the next request for it.
 //
 // The cache is bounded by -cache-bytes (exact pre-encoded body sizes
 // plus per-entry overhead; default 64 MiB). -cache-bytes 0 removes the
 // byte budget, and the cache then falls back to server.DefaultCacheSize
-// (256) entries. Its shard count derives from GOMAXPROCS.
+// (256) entries; a negative -cache-bytes is rejected at startup. Its
+// shard count derives from GOMAXPROCS.
 //
 // # Preemption
 //
@@ -125,8 +124,6 @@ func main() {
 	workers := flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20,
 		fmt.Sprintf("result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = no byte budget: the cache keeps at most %d entries)", server.DefaultCacheSize))
-	rewarm := flag.Bool("rewarm", false,
-		"recompute invalidated pairs in the background after each mutation, hottest first")
 	composeTimeout := flag.Duration("compose-timeout", 30*time.Second,
 		"server-side deadline per composition; expired deadlines return 504 (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (empty = memory-only)")
@@ -138,6 +135,9 @@ func main() {
 	debugAddr := flag.String("debug-addr", "",
 		"private listener serving net/http/pprof and /metrics (empty disables; keep it off the public address)")
 	flag.Parse()
+	if *cacheBytes < 0 {
+		fatal(fmt.Errorf("-cache-bytes %d: want 0 or a positive byte budget", *cacheBytes))
+	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -189,7 +189,7 @@ func main() {
 
 	srv := server.New(server.Config{
 		Catalog: cat, CacheBytes: *cacheBytes,
-		Persist: store, ComposeTimeout: *composeTimeout, Rewarm: *rewarm,
+		Persist: store, ComposeTimeout: *composeTimeout,
 		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
 		Logger:      logger,
 	})
@@ -236,12 +236,6 @@ func main() {
 				}
 			}
 		}()
-	}
-
-	if *rewarm {
-		// Drains the delta-invalidation queue until shutdown; idle when
-		// nothing is invalidated.
-		go srv.Rewarm(ctx)
 	}
 
 	if *warm {

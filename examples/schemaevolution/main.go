@@ -32,6 +32,7 @@ import (
 
 	"mapcomp"
 	"mapcomp/internal/catalog"
+	"mapcomp/internal/core"
 )
 
 const task = `
@@ -83,7 +84,8 @@ func main() {
 	if _, err := cat.Apply(problem); err != nil {
 		log.Fatal(err)
 	}
-	route, err := cat.Snap().Route("v3", "v1")
+	snap := cat.Snap()
+	route, err := snap.Route("v3", "v1")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func main() {
 	for _, h := range route.Hops {
 		fmt.Printf("  %s -> %s via %s (%s)\n", h.From, h.To, h.Mapping, h.Prov)
 	}
-	undo, _, _, err := cat.Compose(context.Background(), "v3", "v1", nil)
+	undo, err := core.ComposeChain(context.Background(), route.Mappings(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func main() {
 	// Staff may hold tuples with no Active preimage, so its inverse is
 	// unsound and the undo cannot start at v4. The error says which
 	// mapping blocks, and mapcompose -invert prints the same verdict.
-	if _, _, _, err := cat.Compose(context.Background(), "v4", "v1", nil); err != nil {
+	if _, err := snap.Route("v4", "v1"); err != nil {
 		var noPath *catalog.NoPathError
 		if errors.As(err, &noPath) {
 			fmt.Printf("\nundo from v4 is refused: %v\n", noPath)

@@ -24,8 +24,8 @@
 // Entries survive catalog mutations: each publish diffs the old and new
 // catalog snapshots and drops only the entries whose composition route
 // changed, migrating the rest in place (step 6 below shows both
-// outcomes). The cache is bounded in bytes (mapcompd -cache-bytes), and
-// -rewarm recomputes invalidated pairs in the background.
+// outcomes). The cache is bounded in bytes (mapcompd -cache-bytes); a
+// dropped pair is recomputed by the next request for it.
 //
 // # Deadlines
 //
@@ -115,8 +115,8 @@ func main() {
 	// same route generation, no ELIMINATE re-run); re-registering the
 	// chain itself invalidates exactly the routes through it, so the
 	// next compose is cold again. /v1/stats splits each publish into
-	// entries_migrated vs entries_dropped. mapcompd -rewarm recomputes
-	// dropped pairs in the background, hottest first.
+	// entries_migrated vs entries_dropped; a dropped pair is composed
+	// again by the next request for it.
 	post(ts.URL+"/v1/register", "text/plain", "schema unrelated { U/1; }")
 	survived := post(ts.URL+"/v1/compose", "application/json", `{"from":"original","to":"split"}`)
 	fmt.Printf("\nafter an unrelated registration: cached=%v, key=%v (entry migrated in place)\n",

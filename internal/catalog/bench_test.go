@@ -51,19 +51,10 @@ func benchCatalog(b *testing.B) *Catalog {
 func BenchmarkCatalogReadParallel(b *testing.B) {
 	c := benchCatalog(b)
 	from, to := "s0", fmt.Sprintf("s%d", benchChainLen)
-	b.Run("chain", func(b *testing.B) {
+	b.Run("route", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, _, _, err := c.Chain(from, to); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-	b.Run("path", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := c.Path(from, to); err != nil {
+				if _, err := c.Snap().Route(from, to); err != nil {
 					b.Fatal(err)
 				}
 			}

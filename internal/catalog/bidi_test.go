@@ -5,12 +5,13 @@ package catalog
 // hand-written-inverse oracle (byte-equivalence of the derived reverse
 // composition), the enriched no-path error, delta invalidation of both
 // directions, graph statistics, and the -race hammer of concurrent
-// registrations against bidirectional Chain reads.
+// registrations against bidirectional Route reads.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,16 +56,14 @@ func evolutionCatalog(t *testing.T) *Catalog {
 func TestBidirectionalChainResolution(t *testing.T) {
 	c := evolutionCatalog(t)
 
-	ms, names, gen, err := c.Chain("v3", "v1")
+	route, err := c.Snap().Route("v3", "v1")
 	if err != nil {
-		t.Fatalf("reverse chain: %v", err)
+		t.Fatalf("reverse route: %v", err)
 	}
-	if gen != c.Generation() {
-		t.Fatalf("gen = %d, want %d", gen, c.Generation())
+	if fmt.Sprint(route.Path) != "[e2 e1]" {
+		t.Fatalf("reverse path = %v, want [e2 e1]", route.Path)
 	}
-	if fmt.Sprint(names) != "[e2 e1]" {
-		t.Fatalf("reverse path = %v, want [e2 e1]", names)
-	}
+	ms := route.Mappings()
 	if len(ms) != 2 || ms[0] == nil || ms[1] == nil {
 		t.Fatalf("reverse chain mappings = %v", ms)
 	}
@@ -74,11 +73,6 @@ func TestBidirectionalChainResolution(t *testing.T) {
 	}
 	if _, ok := ms[1].Out["Emp"]; !ok {
 		t.Fatalf("last reverse hop output = %v, want Emp", ms[1].Out)
-	}
-
-	route, err := c.Snap().Route("v3", "v1")
-	if err != nil {
-		t.Fatalf("route: %v", err)
 	}
 	want := []Hop{
 		{Mapping: "e2", From: "v3", To: "v2", Prov: ProvDerivedInverse},
@@ -168,16 +162,16 @@ func TestDerivedChainMatchesHandWrittenInverseOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, gotPath, _, err := derived.Compose(context.Background(), "v3", "v1", core.DefaultConfig())
+	got, gotRoute, err := compose(context.Background(), derived.Snap(), "v3", "v1")
 	if err != nil {
 		t.Fatalf("derived compose: %v", err)
 	}
-	want, wantPath, _, err := oracle.Compose(context.Background(), "v3", "v1", core.DefaultConfig())
+	want, wantRoute, err := compose(context.Background(), oracle.Snap(), "v3", "v1")
 	if err != nil {
 		t.Fatalf("oracle compose: %v", err)
 	}
-	if fmt.Sprint(gotPath) != "[e2 e1]" || fmt.Sprint(wantPath) != "[r2 r1]" {
-		t.Fatalf("paths = %v / %v", gotPath, wantPath)
+	if fmt.Sprint(gotRoute.Path) != "[e2 e1]" || fmt.Sprint(wantRoute.Path) != "[r2 r1]" {
+		t.Fatalf("paths = %v / %v", gotRoute.Path, wantRoute.Path)
 	}
 	if fmt.Sprint(got.Sig) != fmt.Sprint(want.Sig) {
 		t.Fatalf("signatures differ: %v vs %v", got.Sig, want.Sig)
@@ -211,7 +205,7 @@ map m : a -> b { P <= Q; }
 		t.Fatal(err)
 	}
 
-	_, err := c.Path("b", "a")
+	_, err := c.Snap().Route("b", "a")
 	var npe *NoPathError
 	if !errors.As(err, &npe) {
 		t.Fatalf("err = %v, want NoPathError", err)
@@ -223,7 +217,7 @@ map m : a -> b { P <= Q; }
 		t.Fatalf("hint = reachable=%v blocking=%v, want reachable via [m]", npe.ReverseReachable, npe.Blocking)
 	}
 
-	_, err = c.Path("a", "island")
+	_, err = c.Snap().Route("a", "island")
 	if !errors.As(err, &npe) {
 		t.Fatalf("err = %v, want NoPathError", err)
 	}
@@ -284,7 +278,8 @@ func TestDeltaInvalidatesBothDirections(t *testing.T) {
 
 // TestGraphStats checks the snapshot statistics on a catalog with two
 // invertible mappings and one containment: edge counts by provenance,
-// the verdict tally, and the reachability multiplier.
+// the verdict tally, the reachability multiplier, and the Pairs sweep
+// behind ReachablePairs.
 func TestGraphStats(t *testing.T) {
 	c := evolutionCatalog(t)
 	if _, err := c.Apply(mustParse(t, `
@@ -294,7 +289,8 @@ map cz : v3 -> z { Staff <= Z; }
 `)); err != nil {
 		t.Fatal(err)
 	}
-	gs := c.GraphStats()
+	snap := c.Snap()
+	gs := snap.GraphStats()
 	if gs.Schemas != 4 || gs.Mappings != 3 {
 		t.Fatalf("schemas/mappings = %d/%d, want 4/3", gs.Schemas, gs.Mappings)
 	}
@@ -312,16 +308,24 @@ map cz : v3 -> z { Staff <= Z; }
 		t.Fatalf("reachable pairs = %d full / %d forward, want 9/6",
 			gs.ReachablePairs, gs.ForwardReachablePairs)
 	}
+	// Pairs sweeps the same pairs, sources and targets in name order.
+	var pairs []string
+	for a, b := range snap.Pairs() {
+		pairs = append(pairs, a+">"+b)
+	}
+	if got := strings.Join(pairs, " "); got != "v1>v2 v1>v3 v1>z v2>v1 v2>v3 v2>z v3>v1 v3>v2 v3>z" {
+		t.Fatalf("Pairs = %s", got)
+	}
 	// Cached: same snapshot returns the same pointer.
-	if c.GraphStats() != gs {
+	if snap.GraphStats() != gs {
 		t.Fatal("GraphStats not cached on the snapshot")
 	}
 }
 
 // TestConcurrentRegisterAndBidirectionalChain is the -race hammer:
 // registration storms (republishes that re-derive inverse edges) racing
-// bidirectional Chain reads and GraphStats sweeps. Every read must see
-// a consistent snapshot: a successful chain has materialized mappings
+// bidirectional Route reads and GraphStats sweeps. Every read must see
+// a consistent snapshot: a successful route has materialized mappings
 // for every hop and a generation that never decreases per goroutine.
 func TestConcurrentRegisterAndBidirectionalChain(t *testing.T) {
 	c := evolutionCatalog(t)
@@ -357,28 +361,31 @@ func TestConcurrentRegisterAndBidirectionalChain(t *testing.T) {
 			var lastGen uint64
 			for i := 0; !stop.Load(); i++ {
 				p := pairsToRead[i%len(pairsToRead)]
-				ms, names, gen, err := c.Chain(p[0], p[1])
+				snap := c.Snap()
+				route, err := snap.Route(p[0], p[1])
 				if err != nil {
-					t.Errorf("reader %d: chain %v: %v", r, p, err)
+					t.Errorf("reader %d: route %v: %v", r, p, err)
 					return
 				}
-				if len(ms) != len(names) {
-					t.Errorf("reader %d: %d mappings for %d names", r, len(ms), len(names))
+				ms := route.Mappings()
+				if len(ms) != len(route.Path) {
+					t.Errorf("reader %d: %d mappings for %d names", r, len(ms), len(route.Path))
 					return
 				}
 				for _, m := range ms {
 					if m == nil {
-						t.Errorf("reader %d: nil mapping in chain %v", r, names)
+						t.Errorf("reader %d: nil mapping in route %v", r, route.Path)
 						return
 					}
 				}
+				gen := snap.Generation()
 				if gen < lastGen {
 					t.Errorf("reader %d: generation went backwards %d -> %d", r, lastGen, gen)
 					return
 				}
 				lastGen = gen
 				if i%32 == 0 {
-					gs := c.GraphStats()
+					gs := snap.GraphStats()
 					if gs.DerivedEdges > gs.RegisteredEdges {
 						t.Errorf("reader %d: %d derived edges for %d registered", r, gs.DerivedEdges, gs.RegisteredEdges)
 						return

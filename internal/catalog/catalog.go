@@ -13,10 +13,13 @@
 // The store is copy-on-write: the entire catalog state — entries,
 // generation, sorted listings, and the precomputed BFS adjacency of the
 // mapping graph — lives in one immutable snapshot behind an
-// atomic.Pointer. Reads (Schema, Mapping, Snapshot, Path, Chain,
-// Compose, Generation) load the pointer and never take a lock, so they
-// scale with cores; mutations serialize under a write mutex, validate
-// and log against the current snapshot, then publish a fresh one.
+// atomic.Pointer. Reads (Generation, Schema, Mapping, Snapshot, Snap)
+// load the pointer and never take a lock, so they scale with cores.
+// Route resolution, pair enumeration, graph statistics and inversion
+// verdicts are methods on the Snap handle only, so a reader that needs
+// several of them sees one snapshot. Mutations serialize under a write
+// mutex, validate and log against the current snapshot, then publish a
+// fresh one.
 // Entries are immutable once installed: updates install fresh entries
 // with a bumped per-name version, so a snapshot handed out to a reader
 // stays valid forever. A single reader observes non-decreasing
@@ -42,7 +45,6 @@
 package catalog
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -193,7 +195,7 @@ type view struct {
 	edges [][]edge
 
 	// mappings holds one materialized algebra.Mapping per entry, shared
-	// by every Chain/Compose over this view. NewMapping clones its
+	// by every Route over this view. NewMapping clones its
 	// inputs and the compose stack never mutates a source mapping, so
 	// sharing is safe and a compose request materializes nothing.
 	mappings map[string]*algebra.Mapping
@@ -572,18 +574,6 @@ func (c *Catalog) Mapping(name string) (*MappingEntry, bool) {
 	return e, ok
 }
 
-// Schemas lists the current schema revisions sorted by name. The slice
-// is shared with the snapshot; callers must not modify it.
-func (c *Catalog) Schemas() []*SchemaEntry {
-	return c.snap.Load().schemaList
-}
-
-// Mappings lists the current mapping revisions sorted by name. The
-// slice is shared with the snapshot; callers must not modify it.
-func (c *Catalog) Mappings() []*MappingEntry {
-	return c.snap.Load().mapList
-}
-
 // Snapshot returns the schema and mapping listings (sorted by name) plus
 // the generation, all from one immutable snapshot so the three are
 // mutually consistent.
@@ -767,52 +757,6 @@ func (v *view) reverseReachable(src, dst int) (bool, []string) {
 	return false, nil
 }
 
-// path resolves from→to to the mapping names along the shortest chain
-// (see resolve). A name appears for a hop whether the hop rides the
-// mapping forward or through its derived inverse; Route carries the
-// per-hop direction. On ErrNoPath the returned slice is the partial
-// route.
-func (v *view) path(from, to string) ([]string, error) {
-	chain, err := v.resolve(from, to)
-	var names []string
-	for _, e := range chain {
-		names = append(names, e.m.Name)
-	}
-	return names, err
-}
-
-// Path is the exported form of path, against the current snapshot. On
-// ErrNoPath the returned slice is the partial route (see path).
-func (c *Catalog) Path(from, to string) ([]string, error) {
-	return c.snap.Load().path(from, to)
-}
-
-// Chain resolves from→to over the bidirectional graph and assembles the
-// chain's mappings — the forward materialization for registered hops,
-// the derived inverse for backward hops. Each was materialized once
-// when its snapshot was built and is shared read-only across requests.
-// Chain returns the mappings, the mapping names along the path, and the
-// catalog generation — all from one immutable snapshot, so the three
-// are mutually consistent even under concurrent registration, without
-// taking any lock. On a resolution error the mappings are nil and the
-// path is the partial route (see path).
-func (c *Catalog) Chain(from, to string) ([]*algebra.Mapping, []string, uint64, error) {
-	v := c.snap.Load()
-	chain, err := v.resolve(from, to)
-	var names []string
-	for _, e := range chain {
-		names = append(names, e.m.Name)
-	}
-	if err != nil {
-		return nil, names, v.gen, err
-	}
-	ms := make([]*algebra.Mapping, len(chain))
-	for i, e := range chain {
-		ms[i] = e.mat
-	}
-	return ms, names, v.gen, nil
-}
-
 // Restore installs a recovered state wholesale: schema and mapping
 // entries with their original versions and generations, plus the
 // generation counter. It is the snapshot-loading half of crash
@@ -875,23 +819,4 @@ func (c *Catalog) Restore(schemas []*SchemaEntry, maps []*MappingEntry, gen uint
 	next.gen = gen
 	c.published(cur, next.freeze(cur))
 	return nil
-}
-
-// Compose resolves from→to to a chain and composes it left to right. It
-// returns the composition result, the mapping names along the path, and
-// the generation of the catalog snapshot that produced the result. On a
-// resolution failure the returned path is the partial route resolved so
-// far (see Path), so error reports can name where the chain breaks; on a
-// composition failure — including context preemption — it is the full
-// resolved path.
-func (c *Catalog) Compose(ctx context.Context, from, to string, cfg *core.Config) (*core.Result, []string, uint64, error) {
-	ms, path, gen, err := c.Chain(from, to)
-	if err != nil {
-		return nil, path, gen, err
-	}
-	res, err := core.ComposeChain(ctx, ms, cfg)
-	if err != nil {
-		return nil, path, gen, err
-	}
-	return res, path, gen, nil
 }

@@ -44,6 +44,25 @@ func mustParse(t *testing.T, src string) *parser.Problem {
 	return p
 }
 
+// routePath resolves from→to against the current snapshot and returns
+// the mapping names along the route: the partial route on ErrNoPath.
+func routePath(c *Catalog, from, to string) ([]string, error) {
+	r, err := c.Snap().Route(from, to)
+	return r.Path, err
+}
+
+// compose resolves from→to in one snapshot and composes the chain left
+// to right, as the serving layer's miss path does. The route comes back
+// with any composition error, so callers can report what was composing.
+func compose(ctx context.Context, s Snap, from, to string) (*core.Result, *Route, error) {
+	r, err := s.Route(from, to)
+	if err != nil {
+		return nil, r, err
+	}
+	res, err := core.ComposeChain(ctx, r.Mappings(), nil)
+	return res, r, err
+}
+
 func loadedCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	c := New()
@@ -159,20 +178,20 @@ func TestApplyEmptyProblemKeepsGeneration(t *testing.T) {
 
 func TestPathResolution(t *testing.T) {
 	c := loadedCatalog(t)
-	path, err := c.Path("original", "split")
+	path, err := routePath(c, "original", "split")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(path, ","); got != "m12,m23" {
 		t.Fatalf("path original→split = %s, want m12,m23", got)
 	}
-	if _, err := c.Path("split", "original"); err == nil {
+	if _, err := routePath(c, "split", "original"); err == nil {
 		t.Fatal("reverse path exists despite directed edges")
 	}
-	if _, err := c.Path("original", "original"); err == nil {
+	if _, err := routePath(c, "original", "original"); err == nil {
 		t.Fatal("self-composition accepted")
 	}
-	if _, err := c.Path("original", "nowhere"); err == nil {
+	if _, err := routePath(c, "original", "nowhere"); err == nil {
 		t.Fatal("unknown schema accepted")
 	}
 
@@ -182,7 +201,7 @@ func TestPathResolution(t *testing.T) {
 	if _, err := c.RegisterMapping("mShort", "original", "split", short); err != nil {
 		t.Fatal(err)
 	}
-	path, err = c.Path("original", "split")
+	path, err = routePath(c, "original", "split")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +215,13 @@ func TestPathResolution(t *testing.T) {
 // constraints as manually chaining core.Compose over the same mappings.
 func TestComposeMatchesManualChain(t *testing.T) {
 	c := loadedCatalog(t)
-	res, path, gen, err := c.Compose(context.Background(), "original", "split", nil)
+	snap := c.Snap()
+	res, route, err := compose(context.Background(), snap, "original", "split")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(path) != 2 || gen != c.Generation() {
-		t.Fatalf("path=%v gen=%d", path, gen)
+	if len(route.Path) != 2 || snap.Generation() != c.Generation() {
+		t.Fatalf("path=%v gen=%d", route.Path, snap.Generation())
 	}
 
 	p := mustParse(t, chainTask)
@@ -257,7 +277,7 @@ func TestConcurrentRegisterAndCompose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, _, _, err := c.Compose(context.Background(), "original", "split", nil); err != nil {
+				if _, _, err := compose(context.Background(), c.Snap(), "original", "split"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -382,8 +402,8 @@ func TestRestoreValidates(t *testing.T) {
 }
 
 // TestPathPartialRouteOnNoPath: when the endpoints are registered but
-// disconnected, Path reports ErrNoPath together with the partial route
-// to the deepest schema BFS reached, and Compose forwards it.
+// disconnected, Route reports ErrNoPath together with the partial route
+// to the deepest schema BFS reached, and composing forwards it.
 func TestPathPartialRouteOnNoPath(t *testing.T) {
 	c := loadedCatalog(t)
 	sch := algebra.NewSchema()
@@ -391,7 +411,7 @@ func TestPathPartialRouteOnNoPath(t *testing.T) {
 	if _, err := c.RegisterSchema("island", sch); err != nil {
 		t.Fatal(err)
 	}
-	partial, err := c.Path("original", "island")
+	partial, err := routePath(c, "original", "island")
 	if !errors.Is(err, ErrNoPath) {
 		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
@@ -400,13 +420,13 @@ func TestPathPartialRouteOnNoPath(t *testing.T) {
 	if got := strings.Join(partial, ","); got != "m12,m23" {
 		t.Fatalf("partial route = %v, want m12,m23", partial)
 	}
-	_, path, _, err := c.Compose(context.Background(), "original", "island", nil)
-	if !errors.Is(err, ErrNoPath) || strings.Join(path, ",") != "m12,m23" {
-		t.Fatalf("Compose = (path %v, err %v), want the partial route with ErrNoPath", path, err)
+	_, route, err := compose(context.Background(), c.Snap(), "original", "island")
+	if !errors.Is(err, ErrNoPath) || strings.Join(route.Path, ",") != "m12,m23" {
+		t.Fatalf("compose = (path %v, err %v), want the partial route with ErrNoPath", route.Path, err)
 	}
 
 	// Unknown endpoints still resolve to nothing.
-	if partial, err := c.Path("original", "nowhere"); err == nil || len(partial) != 0 {
+	if partial, err := routePath(c, "original", "nowhere"); err == nil || len(partial) != 0 {
 		t.Fatalf("unknown schema returned partial %v err %v", partial, err)
 	}
 }
@@ -418,7 +438,8 @@ func TestComposePreemptedReturnsPath(t *testing.T) {
 	c := loadedCatalog(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, path, gen, err := c.Compose(ctx, "original", "split", nil)
+	snap := c.Snap()
+	_, route, err := compose(ctx, snap, "original", "split")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled through *core.Canceled", err)
 	}
@@ -426,8 +447,8 @@ func TestComposePreemptedReturnsPath(t *testing.T) {
 	if !errors.As(err, &canceled) {
 		t.Fatalf("err %T does not carry partial stats", err)
 	}
-	if len(path) != 2 || gen != c.Generation() {
-		t.Fatalf("path=%v gen=%d, want the resolved chain at the current generation", path, gen)
+	if len(route.Path) != 2 || snap.Generation() != c.Generation() {
+		t.Fatalf("path=%v gen=%d, want the resolved chain at the current generation", route.Path, snap.Generation())
 	}
 }
 
@@ -436,8 +457,8 @@ func TestComposePreemptedReturnsPath(t *testing.T) {
 // re-register existing ones) while readers spin over the lock-free
 // read surface asserting that (a) the generation each reader observes
 // never decreases, (b) every snapshot is internally consistent (no
-// entry newer than the snapshot generation), and (c) Chain materializes
-// against exactly one snapshot (its reported generation).
+// entry newer than the snapshot generation), and (c) Route materializes
+// against exactly one snapshot (its handle's generation).
 func TestLockFreeReadsGenerationMonotonic(t *testing.T) {
 	c := loadedCatalog(t)
 	const writers, readers, rounds = 3, 6, 60
@@ -498,17 +519,19 @@ func TestLockFreeReadsGenerationMonotonic(t *testing.T) {
 						return
 					}
 				}
-				ms, path, cgen, err := c.Chain("original", "split")
-				if err != nil || len(ms) != len(path) {
-					t.Errorf("chain: %v (%d mappings, %d hops)", err, len(ms), len(path))
+				snap := c.Snap()
+				route, err := snap.Route("original", "split")
+				if err != nil || len(route.Mappings()) != len(route.Path) {
+					t.Errorf("route: %v", err)
 					return
 				}
+				cgen := snap.Generation()
 				if cgen < last {
-					t.Errorf("chain generation %d older than observed %d", cgen, last)
+					t.Errorf("route generation %d older than observed %d", cgen, last)
 					return
 				}
 				last = cgen
-				if _, _, _, err := c.Compose(context.Background(), "original", "split", nil); err != nil {
+				if _, _, err := compose(context.Background(), snap, "original", "split"); err != nil {
 					t.Errorf("compose: %v", err)
 					return
 				}

@@ -62,10 +62,11 @@ type Route struct {
 // snapshot.
 func (r *Route) Mappings() []*algebra.Mapping { return r.ms }
 
-// Route resolves from→to in this snapshot to the same shortest chain
-// Catalog.Chain would produce, plus the route generation and per-hop
-// provenance. On a resolution error the returned route carries the
-// partial path BFS explored (see path) and no mappings.
+// Route resolves from→to in this snapshot to the shortest chain over
+// the bidirectional graph (see resolve), plus the route generation and
+// per-hop provenance. On a resolution error the returned route carries
+// the partial path BFS explored — the chain to the schema it reached
+// last — and no mappings.
 func (s Snap) Route(from, to string) (*Route, error) {
 	v := s.v
 	chain, err := v.resolve(from, to)
@@ -137,8 +138,7 @@ type Delta struct {
 	// Lost lists pairs reachable in the old snapshot but not the new.
 	Lost [][2]string
 	// Gained lists pairs reachable in the new snapshot but not the old
-	// — nothing cached can exist for them, but they are rewarm
-	// candidates.
+	// — nothing cached can exist for them, so they never invalidate.
 	Gained [][2]string
 
 	stale map[[2]string]struct{} // Changed ∪ Lost
@@ -150,15 +150,6 @@ type Delta struct {
 func (d *Delta) Invalidated(from, to string) bool {
 	_, ok := d.stale[[2]string{from, to}]
 	return ok
-}
-
-// tree is bfsFrom under its delta-facing name: the full-graph BFS from
-// src with no early exit. The route tree agrees with per-pair path
-// resolution: BFS discovery order is deterministic, and a node's route
-// is fixed at its discovery, which happens identically whether or not
-// the search stops there.
-func (v *view) tree(src int) (via []*edge, prev []int, order []int) {
-	return v.bfsFrom(src)
 }
 
 // ComputeDelta diffs two snapshots of the same catalog (old must not be
@@ -197,13 +188,13 @@ func ComputeDelta(old, new Snap) *Delta {
 			d.diffSource(ov, nv, src, oi, ni)
 		case inOld:
 			// Source vanished: every pair it could reach is lost.
-			_, _, oldOrder := ov.tree(oi)
+			_, _, oldOrder := ov.bfsFrom(oi)
 			for _, x := range oldOrder {
 				d.Lost = append(d.Lost, [2]string{src, ov.schemaList[x].Name})
 			}
 		default:
 			// Brand-new source: every pair it reaches is gained.
-			_, _, newOrder := nv.tree(ni)
+			_, _, newOrder := nv.bfsFrom(ni)
 			for _, x := range newOrder {
 				d.Gained = append(d.Gained, [2]string{src, nv.schemaList[x].Name})
 			}
@@ -223,7 +214,9 @@ func ComputeDelta(old, new Snap) *Delta {
 }
 
 // diffSource classifies every destination reachable from src in either
-// snapshot. Route comparison propagates along the new BFS tree: a
+// snapshot. The bfsFrom tree holds exactly the routes Route resolves:
+// a node's route is fixed at its discovery, which is deterministic.
+// Route comparison propagates along the new BFS tree: a
 // node's route changed iff its discovering edge resolves to a
 // different materialized mapping (or a different mapping name or
 // traversal direction) than in the old tree, or the route to its
@@ -239,8 +232,8 @@ func ComputeDelta(old, new Snap) *Delta {
 // pointers for both its forward and its derived edge — every route
 // using the mapping in either direction classifies as changed.
 func (d *Delta) diffSource(ov, nv *view, src string, oi, ni int) {
-	oldVia, _, oldOrder := ov.tree(oi)
-	newVia, newPrev, newOrder := nv.tree(ni)
+	oldVia, _, oldOrder := ov.bfsFrom(oi)
+	newVia, newPrev, newOrder := nv.bfsFrom(ni)
 	changed := make([]bool, len(nv.schemaList))
 	for _, x := range newOrder {
 		name := nv.schemaList[x].Name

@@ -1,6 +1,10 @@
 package catalog
 
-import "mapcomp/internal/core"
+import (
+	"iter"
+
+	"mapcomp/internal/core"
+)
 
 // GraphStats summarizes one snapshot's bidirectional mapping graph:
 // edge counts by provenance, reachability with and without the derived
@@ -98,8 +102,27 @@ func (v *view) forwardOrder(src int) []int {
 // this snapshot.
 func (s Snap) GraphStats() *GraphStats { return s.v.graphStats() }
 
-// GraphStats returns the graph statistics of the current snapshot.
-func (c *Catalog) GraphStats() *GraphStats { return c.snap.Load().graphStats() }
+// Pairs enumerates the ordered schema pairs (a, b), a ≠ b, connected
+// over this snapshot's bidirectional graph — derived-inverse edges
+// included, so a full sweep yields GraphStats().ReachablePairs pairs.
+// Sources come in name order and so do each source's targets: the
+// schema indices are name-sorted, and a target's presence is read off
+// the BFS tree rather than its discovery order. Each source costs one
+// bfsFrom, so a full sweep is O(S·(S+E)); breaking out of the loop
+// skips the remaining sources.
+func (s Snap) Pairs() iter.Seq2[string, string] {
+	v := s.v
+	return func(yield func(from, to string) bool) {
+		for src, a := range v.schemaList {
+			via, _, _ := v.bfsFrom(src)
+			for dst, e := range via {
+				if e != nil && !yield(a.Name, v.schemaList[dst].Name) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Inversion returns the quasi-inverse judgement for a registered
 // mapping in this snapshot: the per-constraint verdicts and, when every
@@ -107,10 +130,4 @@ func (c *Catalog) GraphStats() *GraphStats { return c.snap.Load().graphStats() }
 func (s Snap) Inversion(name string) (*core.Inversion, bool) {
 	inv, ok := s.v.inversions[name]
 	return inv, ok
-}
-
-// Inversion returns the quasi-inverse judgement for a registered
-// mapping against the current snapshot.
-func (c *Catalog) Inversion(name string) (*core.Inversion, bool) {
-	return Snap{v: c.snap.Load()}.Inversion(name)
 }

@@ -15,9 +15,7 @@ const catalogPkg = "mapcomp/internal/catalog"
 // construction a read-only view.)
 var catalogReadAPI = map[string]bool{
 	"Generation": true, "Schema": true, "Mapping": true,
-	"Schemas": true, "Mappings": true, "Snapshot": true,
-	"Path": true, "Chain": true, "Compose": true,
-	"GraphStats": true, "Inversion": true, "Snap": true,
+	"Snapshot": true, "Snap": true,
 }
 
 // lockingCalls are the blocking synchronization entry points forbidden

@@ -29,21 +29,21 @@ func (c *Catalog) Schema(name string) bool {
 	return false
 }
 
-// Path calls the delete built-in on receiver-rooted state.
-func (c *Catalog) Path(name string) {
+// Mapping calls the delete built-in on receiver-rooted state.
+func (c *Catalog) Mapping(name string) {
 	delete(c.gens, name) // want `delete on shared state reachable from the catalog read API`
 }
 
-// Chain reaches a lock through a helper: the call graph follows it.
-func (c *Catalog) Chain() { c.bump() }
+// Snapshot reaches a lock through a helper: the call graph follows it.
+func (c *Catalog) Snapshot() { c.bump() }
 
 func (c *Catalog) bump() {
 	c.mu.Lock() // want `sync\.Mutex\.Lock reachable from the catalog read API`
 	c.mu.Unlock()
 }
 
-// Compose builds and mutates local state only: allowed.
-func (c *Catalog) Compose() map[string]uint64 {
+// Snap builds and mutates local state only: allowed.
+func (c *Catalog) Snap() map[string]uint64 {
 	seen := make(map[string]uint64)
 	seen["a"] = c.snap.Load().gen
 	delete(seen, "a")

@@ -20,7 +20,7 @@ type Stage struct {
 // pay one context probe and a nil check, no allocation, no lock.
 //
 // Stages append under a mutex because a traced compose can fan out
-// (batch items, rewarm) — traced requests are the rare diagnostic case,
+// (batch items) — traced requests are the rare diagnostic case,
 // so the lock is never on the hot path.
 type Trace struct {
 	mu     sync.Mutex

@@ -143,7 +143,11 @@ func TestRecoverFromWALOnly(t *testing.T) {
 
 	// The recovered catalog keeps serving: compose across the applied
 	// batch works and new mutations continue the generation sequence.
-	if _, _, _, err := recovered.Compose(context.Background(), "original", "fivestar", core.DefaultConfig()); err != nil {
+	route, err := recovered.Snap().Route("original", "fivestar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.ComposeChain(context.Background(), route.Mappings(), core.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := recovered.RegisterSchema("extra", schema(t, 1, "X")); err != nil {

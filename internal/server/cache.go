@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"mapcomp/internal/catalog"
 )
 
 // resultCache is the bounded cache of composed results, keyed on
@@ -402,14 +405,6 @@ func (sh *cacheShard) insertLocked(ent *cacheEntry) {
 	sh.view.Store(next)
 }
 
-// droppedPair records one entry a migration dropped, with its recency
-// clock value: the rewarm queue uses the recency to recompute the
-// hottest invalidated pairs first.
-type droppedPair struct {
-	pair pairKey
-	used int64
-}
-
 // migration summarizes one cache transition across a catalog publish.
 // The identity candidates == migrated + dropped holds by construction:
 // every entry whose watermark predates the new generation is classified
@@ -420,7 +415,40 @@ type migration struct {
 	candidates int
 	migrated   int
 	dropped    int
-	droppedHot []droppedPair
+}
+
+// onPublish is the catalog publish hook. It transitions the result
+// cache across one catalog mutation: it diffs the two snapshots and
+// drops exactly the pairs whose route changed, migrating every other
+// entry in place. The singleflight and lock-free hit machinery keep
+// running throughout: the hook only bumps watermarks and republishes
+// shard views. Dropped pairs are recomputed by the next request for
+// them, or by the next Warm.
+//
+// The hook runs inside the catalog's write lock, so it is strictly
+// ordered — migration for generation N completes before the mutation
+// producing N+1 can publish — which is what makes the per-publish
+// counter identity (candidates = migrated + dropped) exact. The work is
+// bounded: ComputeDelta is two BFS runs per schema and migrate one pass
+// over the cached entries.
+func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
+	start := time.Now()
+	delta := catalog.ComputeDelta(oldSnap, newSnap)
+	dd := time.Since(start)
+	s.deltaUS.Add(dd.Microseconds()) // /v1/stats's running total; the histogram has the tail
+	deltaComputeSeconds.Observe(dd)
+	migStart := time.Now()
+	m := s.cache.migrate(oldSnap.Generation(), newSnap.Generation(), delta.Invalidated)
+	cacheMigrateSeconds.Observe(time.Since(migStart))
+	s.migrations.Add(1)
+	s.entriesMigrated.Add(int64(m.migrated))
+	s.entriesDropped.Add(int64(m.dropped))
+	if s.migrateHook != nil {
+		s.migrateHook(migrationRecord{
+			fromGen: oldSnap.Generation(), toGen: newSnap.Generation(),
+			candidates: m.candidates, migrated: m.migrated, dropped: m.dropped,
+		})
+	}
 }
 
 // migrate transitions the cache across a catalog publish oldGen→newGen.
@@ -473,7 +501,6 @@ func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to strin
 				if next.byString[e.skey] == e {
 					delete(next.byString, e.skey)
 				}
-				m.droppedHot = append(m.droppedHot, droppedPair{pair: e.pair, used: e.used.Load()})
 			}
 			sh.view.Store(next)
 		}

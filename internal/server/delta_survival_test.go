@@ -4,8 +4,8 @@ package server
 // test (delta-invalidated cache ≡ full recompute, byte for byte), the
 // mixed-workload survival floors, the default cache bound, the -race
 // migration hammer (registration storm against saturated reads,
-// counter identity per publish), the warm-skip behaviour and the
-// background rewarm loop.
+// counter identity per publish) and Warm: its skip of surviving
+// entries, and its pair sweep at catalog shape.
 
 import (
 	"bytes"
@@ -14,10 +14,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // clusterTask renders a self-contained registration body for cluster i:
@@ -235,28 +235,36 @@ func TestMixedWorkloadSurvivalFloor(t *testing.T) {
 
 // TestDefaultCacheBound pins what a zero Config means: with neither an
 // entry bound nor a byte budget the cache is not unbounded but keeps at
-// most DefaultCacheSize entries.
+// most DefaultCacheSize entries. A negative byte budget means the same
+// as none, not an unbounded cache that never evicts.
 func TestDefaultCacheBound(t *testing.T) {
-	s := New(Config{})
 	var sb strings.Builder
 	for i := 0; i <= DefaultCacheSize; i++ {
 		fmt.Fprintf(&sb, "schema d%da { DA%d/1; }\nschema d%db { DB%d/1; }\nmap d%d : d%da -> d%db { DA%d <= DB%d; }\n", i, i, i, i, i, i, i, i, i)
 	}
-	if rec := do(t, s, "POST", "/v1/register", sb.String()); rec.Code != http.StatusOK {
-		t.Fatalf("register: %d %s", rec.Code, rec.Body)
-	}
-	for i := 0; i <= DefaultCacheSize; i++ {
-		if rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":"d%da","to":"d%db"}`, i, i)); rec.Code != http.StatusOK {
-			t.Fatalf("compose %d: %d %s", i, rec.Code, rec.Body)
-		}
-	}
-	st := s.Stats()
-	if st.Composes != DefaultCacheSize+1 {
-		t.Fatalf("composes = %d, want %d distinct", st.Composes, DefaultCacheSize+1)
-	}
-	if st.CacheEntries > DefaultCacheSize {
-		t.Fatalf("cache holds %d entries after %d distinct composes, want ≤ DefaultCacheSize = %d",
-			st.CacheEntries, DefaultCacheSize+1, DefaultCacheSize)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"zero", Config{}}, {"negative-bytes", Config{CacheBytes: -5}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.cfg)
+			if rec := do(t, s, "POST", "/v1/register", sb.String()); rec.Code != http.StatusOK {
+				t.Fatalf("register: %d %s", rec.Code, rec.Body)
+			}
+			for i := 0; i <= DefaultCacheSize; i++ {
+				if rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":"d%da","to":"d%db"}`, i, i)); rec.Code != http.StatusOK {
+					t.Fatalf("compose %d: %d %s", i, rec.Code, rec.Body)
+				}
+			}
+			st := s.Stats()
+			if st.Composes != DefaultCacheSize+1 {
+				t.Fatalf("composes = %d, want %d distinct", st.Composes, DefaultCacheSize+1)
+			}
+			if st.CacheEntries > DefaultCacheSize {
+				t.Fatalf("cache holds %d entries after %d distinct composes, want ≤ DefaultCacheSize = %d",
+					st.CacheEntries, DefaultCacheSize+1, DefaultCacheSize)
+			}
+		})
 	}
 }
 
@@ -388,65 +396,82 @@ func TestWarmSkipsMigratedEntries(t *testing.T) {
 	}
 }
 
-// TestRewarmRebuildsInvalidatedPairs: with -rewarm semantics enabled, a
-// route-changing mutation queues the dropped pairs and the background
-// loop recomputes them without any client request; the next request is
-// a hit.
-func TestRewarmRebuildsInvalidatedPairs(t *testing.T) {
-	s := New(Config{Rewarm: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rewarmDone := make(chan struct{})
-	go func() { defer close(rewarmDone); s.Rewarm(ctx) }()
-
-	if rec := do(t, s, "POST", "/v1/register", clusterTask(0)); rec.Code != http.StatusOK {
+// shapeCatalog registers 40 disjoint 3-schema clusters shaped like the
+// benchmark's cluster catalog: two thirds invertible (proj[2,1](A) = B,
+// B = C), so their reverse pairs resolve through derived inverses, and
+// one third containments, which connect forward only. It returns every
+// connected ordered pair, sorted by (from, to).
+func shapeCatalog(t *testing.T, s *Server) [][2]string {
+	t.Helper()
+	var sb strings.Builder
+	var pairs [][2]string
+	for i := 0; i < 40; i++ {
+		a, b, c := fmt.Sprintf("c%da", i), fmt.Sprintf("c%db", i), fmt.Sprintf("c%dc", i)
+		fmt.Fprintf(&sb, "schema %s { A%d/2; }\nschema %s { B%d/2; }\nschema %s { C%d/2; }\n", a, i, b, i, c, i)
+		pairs = append(pairs, [2]string{a, b}, [2]string{b, c}, [2]string{a, c})
+		if i%3 == 2 {
+			fmt.Fprintf(&sb, "map m%[1]dab : %[2]s -> %[3]s { A%[1]d <= B%[1]d; }\nmap m%[1]dbc : %[3]s -> %[4]s { B%[1]d <= C%[1]d; }\n", i, a, b, c)
+			continue
+		}
+		fmt.Fprintf(&sb, "map m%[1]dab : %[2]s -> %[3]s { proj[2,1](A%[1]d) = B%[1]d; }\nmap m%[1]dbc : %[3]s -> %[4]s { B%[1]d = C%[1]d; }\n", i, a, b, c)
+		pairs = append(pairs, [2]string{b, a}, [2]string{c, b}, [2]string{c, a})
+	}
+	if rec := do(t, s, "POST", "/v1/register", sb.String()); rec.Code != http.StatusOK {
 		t.Fatalf("register: %d %s", rec.Code, rec.Body)
 	}
-	for _, p := range clusterPairs(0) {
-		if rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1])); rec.Code != http.StatusOK {
-			t.Fatalf("compose: %d %s", rec.Code, rec.Body)
-		}
-	}
-	composesBefore := s.Stats().Composes
+	// A space sorts before every name character, so this is (from, to)
+	// order.
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0]+" "+pairs[i][1] < pairs[j][0]+" "+pairs[j][1] })
+	return pairs
+}
 
-	// Invalidate the cluster; the rewarm loop must rebuild all three
-	// pairs on its own.
-	if rec := do(t, s, "POST", "/v1/register", clusterTask(0)); rec.Code != http.StatusOK {
-		t.Fatalf("re-register: %d %s", rec.Code, rec.Body)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+// TestWarmAtCatalogShape: uncapped, Warm composes every reachable pair —
+// derived-inverse pairs included — so each one is then a hit; capped,
+// it composes exactly the first cacheCap connected pairs in (from, to)
+// name order.
+func TestWarmAtCatalogShape(t *testing.T) {
+	t.Run("uncapped", func(t *testing.T) {
+		s := New(Config{CacheSize: 1 << 12})
+		pairs := shapeCatalog(t, s)
+		n := s.Warm(context.Background())
 		st := s.Stats()
-		if st.Rewarmed >= 3 && st.RewarmQueueDepth == 0 {
-			break
+		if n != st.ReachablePairs || n != len(pairs) {
+			t.Fatalf("Warm = %d, reachable pairs = %d, connected pairs = %d", n, st.ReachablePairs, len(pairs))
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rewarm never completed: %+v", st)
+		if st.Composes != int64(n) || st.Warmed != int64(n) {
+			t.Fatalf("composes = %d, warmed = %d, want %d", st.Composes, st.Warmed, n)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := s.Stats().Composes; got != composesBefore+3 {
-		t.Fatalf("rewarm composes = %d, want %d", got, composesBefore+3)
-	}
-
-	// Every pair is a hit now — the client pays nothing post-mutation.
-	for _, p := range clusterPairs(0) {
-		rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1]))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("compose: %d %s", rec.Code, rec.Body)
+		for _, p := range pairs {
+			rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1]))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("compose %v: %d %s", p, rec.Code, rec.Body)
+			}
+			if !decode[ComposeResponse](t, rec).Cached {
+				t.Fatalf("pair %v not warmed", p)
+			}
 		}
-		if resp := decode[ComposeResponse](t, rec); !resp.Cached {
-			t.Fatalf("pair %v not rewarmed", p)
+		if got := s.Stats().Composes; got != int64(n) {
+			t.Fatalf("composes after warm hits = %d, want %d", got, n)
 		}
-	}
-	if got := s.Stats().Composes; got != composesBefore+3 {
-		t.Fatalf("post-rewarm requests recomputed: composes = %d, want %d", got, composesBefore+3)
-	}
-
-	cancel()
-	select {
-	case <-rewarmDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Rewarm loop did not stop on context cancellation")
-	}
+	})
+	t.Run("capped", func(t *testing.T) {
+		// 9 = c0's 6 pairs + c10a's 2 + one of c10b's ("c10" sorts
+		// before "c1a"): the cap cuts a source's targets, where name
+		// order (c10b>c10a) and BFS discovery order (c10b>c10c) differ.
+		const capacity = 9
+		s := New(Config{CacheSize: capacity, CacheShards: 1})
+		pairs := shapeCatalog(t, s)
+		if n := s.Warm(context.Background()); n != capacity {
+			t.Fatalf("Warm = %d, want the cap %d", n, capacity)
+		}
+		if got := s.Stats().Composes; got != capacity {
+			t.Fatalf("composes = %d, want %d", got, capacity)
+		}
+		gen := s.cat.Generation()
+		for i, p := range pairs {
+			if got, want := s.cache.valid(pairKey{from: p[0], to: p[1], cfg: s.cfgFP}, gen), i < capacity; got != want {
+				t.Fatalf("pair %d %v cached = %v, want %v: Warm must take the first %d in name order", i, p, got, want, capacity)
+			}
+		}
+	})
 }

@@ -73,7 +73,6 @@ var verdictSeconds = map[string]*obs.Histogram{
 var (
 	deltaComputeSeconds = obs.Hist("mapcomp_cache_delta_compute_seconds", "")
 	cacheMigrateSeconds = obs.Hist("mapcomp_cache_migrate_seconds", "")
-	rewarmSeconds       = obs.Hist("mapcomp_cache_rewarm_seconds", "")
 )
 
 // reqSeq and idPrefix build X-Request-Id values: a per-process random
@@ -177,11 +176,9 @@ func (s *Server) writeServerMetrics(buf *bytes.Buffer) {
 	counter("mapcomp_cache_entries_migrated_total", st.EntriesMigrated)
 	counter("mapcomp_cache_entries_dropped_total", st.EntriesDropped)
 	counter("mapcomp_warmed_total", st.Warmed)
-	counter("mapcomp_rewarmed_total", st.Rewarmed)
 	gauge("mapcomp_generation", int64(st.Generation))
 	gauge("mapcomp_cache_entries", int64(st.CacheEntries))
 	gauge("mapcomp_cache_bytes", st.CacheBytes)
-	gauge("mapcomp_rewarm_queue_depth", int64(st.RewarmQueueDepth))
 	// Bidirectional mapping-graph gauges, from the same snapshot. The
 	// verdict gauge is labeled by reason so dashboards can plot exactly
 	// which constraint shapes block inversion.

@@ -11,8 +11,9 @@
 // to a single computation. Catalog mutations do not wipe the cache: a
 // publish hook diffs the old and new snapshots (catalog.ComputeDelta),
 // drops only the entries whose route actually changed, migrates every
-// other entry in place by bumping its watermark, and optionally feeds
-// the invalidated pairs to a background rewarm loop (hot pairs first).
+// other entry in place by bumping its watermark. Every read of the
+// catalog goes through one immutable catalog.Snap: a compose request, a
+// batch, a warm-up sweep and a stats snapshot each see one generation.
 // Everything is stdlib net/http; the server is safe for concurrent use.
 //
 // Endpoints (all under /v1):
@@ -70,8 +71,9 @@ type Config struct {
 	CacheSize int
 	// CacheBytes bounds the result cache by exact byte footprint
 	// (pre-encoded body sizes plus fixed per-entry overhead). 0 means
-	// no byte budget. Both bounds apply when both are set; with both 0
-	// the cache falls back to DefaultCacheSize entries.
+	// no byte budget, and a negative value is treated as 0. Both bounds
+	// apply when both are set; with both 0 the cache falls back to
+	// DefaultCacheSize entries.
 	CacheBytes int64
 	// CacheShards sets the result cache's shard count. 0 derives a
 	// power of two from GOMAXPROCS; other values round up to a power of
@@ -92,12 +94,6 @@ type Config struct {
 	// attempts and surfaces as 504 with the partial statistics; the
 	// result is never cached.
 	ComposeTimeout time.Duration
-	// Rewarm enables the background rewarm queue: pairs a publish
-	// invalidated (and pairs that became newly reachable) are queued,
-	// hottest first, for recomputation by Server.Rewarm. The caller
-	// must run Rewarm on a goroutine for the queue to drain (mapcompd
-	// -rewarm does).
-	Rewarm bool
 	// SlowRequest, when positive, samples requests that take at least
 	// this long to the structured log (mapcompd -slow-ms). Zero
 	// disables sampling — and with it the response-writer wrapping, so
@@ -116,7 +112,6 @@ type Server struct {
 	cacheCap int
 	persist  *persist.Store // nil without a durability backend
 	timeout  time.Duration  // server-side compose deadline; 0 = none
-	rewarmQ  *rewarmQueue   // nil unless Config.Rewarm
 	slow     time.Duration  // slow-request log threshold; 0 = off
 	logger   *slog.Logger
 	mux      *http.ServeMux
@@ -127,7 +122,6 @@ type Server struct {
 	resultFetches atomic.Int64 // GET /v1/results hits
 	elimAttempts  atomic.Int64 // summed Stats.Attempted of the runs
 	warmed        atomic.Int64 // pairs precomputed by Warm
-	rewarmed      atomic.Int64 // pairs recomputed by the rewarm loop
 
 	migrations      atomic.Int64 // catalog publishes the cache transitioned across
 	entriesMigrated atomic.Int64 // entries whose watermark was bumped in place
@@ -169,20 +163,17 @@ func New(cfg Config) *Server {
 		s.cfg = core.DefaultConfig()
 	}
 	s.cfgFP = s.cfg.Fingerprint()
-	size := cfg.CacheSize
-	if size == 0 && cfg.CacheBytes == 0 {
+	size, budget := cfg.CacheSize, max(cfg.CacheBytes, 0)
+	if size == 0 && budget == 0 {
 		size = DefaultCacheSize
 	}
 	if size >= 0 {
-		s.cache = newResultCache(size, cfg.CacheBytes, cfg.CacheShards)
+		s.cache = newResultCache(size, budget, cfg.CacheShards)
 		s.cacheCap = size
 		if size == 0 {
 			// Bytes-only bound: cap Warm's pair sweep at the smallest
 			// entry count that could exhaust the budget.
-			s.cacheCap = int(cfg.CacheBytes / entryOverhead)
-		}
-		if cfg.Rewarm {
-			s.rewarmQ = newRewarmQueue()
+			s.cacheCap = int(budget / entryOverhead)
 		}
 		s.cat.SetPublishHook(s.onPublish)
 	}
@@ -232,13 +223,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // in every snapshot, load or no load; likewise the cache numbers
 // (entries, bytes, per-shard split) come from a single load of each
 // shard's published view, so they are mutually consistent rather than
-// three racing sweeps.
+// three racing sweeps, and the generation and graph counters come from
+// one catalog snapshot, so a concurrent publish cannot pair generation
+// N with the graph of N+1.
 func (s *Server) Stats() StatsResponse {
+	snap := s.cat.Snap()
 	hits := s.cacheHits.Load()
 	composes := s.composes.Load()
 	coalesced := s.coalescedHits.Load()
 	out := StatsResponse{
-		Generation:        s.cat.Generation(),
+		Generation:        snap.Generation(),
 		Requests:          hits + composes + coalesced,
 		Composes:          composes,
 		CacheHits:         hits,
@@ -246,7 +240,6 @@ func (s *Server) Stats() StatsResponse {
 		ResultFetches:     s.resultFetches.Load(),
 		EliminateAttempts: s.elimAttempts.Load(),
 		Warmed:            s.warmed.Load(),
-		Rewarmed:          s.rewarmed.Load(),
 		Migrations:        s.migrations.Load(),
 		EntriesMigrated:   s.entriesMigrated.Load(),
 		EntriesDropped:    s.entriesDropped.Load(),
@@ -259,10 +252,7 @@ func (s *Server) Stats() StatsResponse {
 		out.CacheShards = len(s.cache.shards)
 		out.CacheShardEntries = cs.perShard
 	}
-	if s.rewarmQ != nil {
-		out.RewarmQueueDepth = s.rewarmQ.depth()
-	}
-	gs := s.cat.GraphStats()
+	gs := snap.GraphStats()
 	out.RegisteredEdges = gs.RegisteredEdges
 	out.DerivedEdges = gs.DerivedEdges
 	out.InvertibleMappings = gs.InvertibleMappings
@@ -280,13 +270,15 @@ func (s *Server) Stats() StatsResponse {
 
 // Warm precomputes compositions for the catalog's connected ordered
 // schema pairs, filling the result cache so the first client request
-// after a restart is a hit instead of a cold ELIMINATE run. Pair
-// discovery is a cheap BFS per pair; the compositions themselves run on
-// the internal/par worker pool and stop claiming pairs once ctx is
-// cancelled (cmd/mapcompd passes its shutdown context, so a SIGTERM
+// after a restart is a hit instead of a cold ELIMINATE run. Warm reads
+// one catalog snapshot: its Pairs sweep (one BFS per source) supplies
+// the pairs in (from, to) name order, and the compositions run against
+// it on the internal/par worker pool and stop claiming pairs once ctx
+// is cancelled (cmd/mapcompd passes its shutdown context, so a SIGTERM
 // during warm-up is not held hostage by the remaining pairs). The
 // number of pairs attempted is capped at the cache capacity (warming
-// beyond it would evict its own entries). Warm returns the number of
+// beyond it would evict its own entries), so a capped warm-up takes the
+// first pairs in that order. Warm returns the number of
 // pairs actually cached — the same count /v1/stats reports as "warmed"
 // — and skips pairs whose composition fails: Warm is an optimization
 // pass, the request path reports real errors. Pairs already cached with
@@ -299,30 +291,22 @@ func (s *Server) Warm(ctx context.Context) int {
 	if s.cache == nil {
 		return 0
 	}
-	gen := s.cat.Generation()
-	schemas, _, _ := s.cat.Snapshot()
+	snap := s.cat.Snap()
+	gen := snap.Generation()
 	var pairs [][2]string
-	for _, a := range schemas {
-		for _, b := range schemas {
-			if len(pairs) >= s.cacheCap {
-				break
-			}
-			if a.Name == b.Name {
-				continue
-			}
-			if s.cache.valid(pairKey{from: a.Name, to: b.Name, cfg: s.cfgFP}, gen) {
-				continue // survived migration; nothing to recompute
-			}
-			if _, err := s.cat.Path(a.Name, b.Name); err == nil {
-				pairs = append(pairs, [2]string{a.Name, b.Name})
-			}
+	for from, to := range snap.Pairs() {
+		if len(pairs) >= s.cacheCap {
+			break
+		}
+		if !s.cache.valid(pairKey{from: from, to: to, cfg: s.cfgFP}, gen) {
+			pairs = append(pairs, [2]string{from, to})
 		}
 	}
 	var ok atomic.Int64
 	_ = par.DoContext(ctx, len(pairs), func(i int) {
 		pairCtx, cancel := s.composeContext(ctx, 0)
 		defer cancel()
-		if _, _, err := s.compose(pairCtx, pairs[i][0], pairs[i][1]); err == nil {
+		if _, _, err := s.compose(pairCtx, snap, pairs[i][0], pairs[i][1]); err == nil {
 			ok.Add(1)
 		}
 	})
@@ -386,18 +370,18 @@ func (e *pathError) Unwrap() error { return e.err }
 // route the failed run resolved (see pathError) and, for a preempted
 // run, the statistics accumulated before the deadline hit. A run that
 // died before resolving anything (deadline already expired at the cache
-// probe) reports the current snapshot's route as a best effort. A
-// no-path failure additionally reports whether the reverse direction
-// would reach the target and which non-invertible mappings block the
-// derived path, so the client learns the fix is registering or
-// unlocking an inverse.
-func (s *Server) composeError(from, to string, err error) ErrorJSON {
+// probe) reports snap's route as a best effort — the snapshot the
+// request was served against. A no-path failure additionally reports
+// whether the reverse direction would reach the target and which
+// non-invertible mappings block the derived path, so the client learns
+// the fix is registering or unlocking an inverse.
+func composeError(snap catalog.Snap, from, to string, err error) ErrorJSON {
 	out := ErrorJSON{Error: err.Error()}
 	var withPath *pathError
 	if errors.As(err, &withPath) {
 		out.Path = withPath.path
-	} else if path, _ := s.cat.Path(from, to); len(path) > 0 {
-		out.Path = path
+	} else if route, _ := snap.Route(from, to); len(route.Path) > 0 {
+		out.Path = route.Path
 	}
 	var noPath *catalog.NoPathError
 	if errors.As(err, &noPath) {
@@ -509,28 +493,25 @@ func keyString(gen uint64, pair pairKey) string {
 	return fmt.Sprintf("g%d.%s.%s.%016x", gen, pair.from, pair.to, pair.cfg)
 }
 
-// compose resolves and composes one pair through the cache. The cache
-// is probed on the pair alone (the observed generation only gates the
+// compose resolves and composes one pair of snap through the cache. The
+// cache is probed on the pair alone (snap's generation only gates the
 // entry's watermark), so a hit skips not just ELIMINATE but also path
 // resolution, chain materialization and — because the entry carries its
 // pre-encoded wire bytes — response encoding; even the key string is
-// only rendered inside the computation. The response's Generation and
-// Key carry the route generation, which unrelated mutations never move
-// — a migrated entry and a fresh recompute of an unchanged route are
-// byte-identical. (If the catalog mutates between the generation read
-// and the snapshot, the entry is watermarked at the fresher snapshot's
-// generation — requests observing the new generation hit it directly.)
-// ctx preempts the composition between elimination strategies; a
-// preempted run is never cached and its in-flight slot is handed off to
-// any live waiter (see resultCache).
-func (s *Server) compose(ctx context.Context, from, to string) (*cacheEntry, hitKind, error) {
+// only rendered inside the computation. A miss resolves the route in
+// snap and watermarks the new entry at snap's generation. The
+// response's Generation and Key carry the route generation, which
+// unrelated mutations never move — a migrated entry and a fresh
+// recompute of an unchanged route are byte-identical. ctx preempts the
+// composition between elimination strategies; a preempted run is never
+// cached and its in-flight slot is handed off to any live waiter (see
+// resultCache).
+func (s *Server) compose(ctx context.Context, snap catalog.Snap, from, to string) (*cacheEntry, hitKind, error) {
 	pair := pairKey{from: from, to: to, cfg: s.cfgFP}
-	gen := s.cat.Generation()
 	run := func(ctx context.Context) (*ComposeResponse, uint64, error) {
 		if s.composeHook != nil {
 			s.composeHook(ctx)
 		}
-		snap := s.cat.Snap()
 		route, err := snap.Route(from, to)
 		if err != nil {
 			// route.Path is the partial route this snapshot resolved.
@@ -571,7 +552,7 @@ func (s *Server) compose(ctx context.Context, from, to string) (*cacheEntry, hit
 		}
 		return &cacheEntry{pair: pair, skey: resp.Key, resp: resp}, computed, nil
 	}
-	ent, kind, err := s.cache.do(ctx, pair, gen, run)
+	ent, kind, err := s.cache.do(ctx, pair, snap.Generation(), run)
 	switch kind {
 	case cacheHit:
 		s.cacheHits.Add(1)
@@ -680,6 +661,7 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 	defer putBodyBuf(buf)
 	body := buf.Bytes()
 
+	snap := s.cat.Snap()
 	var req ComposeRequest
 	if view, scanned := scanComposeRequest(body); scanned {
 		if s.cache != nil && !view.trace && len(view.from) > 0 && len(view.to) > 0 {
@@ -687,7 +669,7 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 			// body buffer. A hit is served entirely from stored bytes; a
 			// miss materializes the request and takes the ordinary path
 			// (which owns every string it retains).
-			if ent, ok := s.cache.probe(view.pair(s.cfgFP), s.cat.Generation()); ok {
+			if ent, ok := s.cache.probe(view.pair(s.cfgFP), snap.Generation()); ok {
 				s.cacheHits.Add(1)
 				writeEntry(w, ent, cacheHit)
 				return outHit
@@ -710,14 +692,14 @@ func (s *Server) serveCompose(w http.ResponseWriter, r *http.Request) composeOut
 	if req.Trace {
 		ctx, tr = obs.WithTrace(ctx)
 		t0 := time.Now()
-		ent, kind, err = s.compose(ctx, req.From, req.To)
+		ent, kind, err = s.compose(ctx, snap, req.From, req.To)
 		tr.Observe("server/compose", time.Since(t0))
 	} else {
-		ent, kind, err = s.compose(ctx, req.From, req.To)
+		ent, kind, err = s.compose(ctx, snap, req.From, req.To)
 	}
 	if err != nil {
 		status := composeStatus(err)
-		errBody := s.composeError(req.From, req.To, err)
+		errBody := composeError(snap, req.From, req.To, err)
 		errBody.RequestID = requestID(w)
 		writeJSON(w, status, &errBody)
 		if status == http.StatusGatewayTimeout {
@@ -791,6 +773,8 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 	// The batch fans out over the worker pool under the request context:
 	// a disconnected client stops the sweep, and each item gets its own
 	// compose deadline so one pathological pair cannot eat the batch.
+	// Every item resolves against one catalog snapshot.
+	snap := s.cat.Snap()
 	ctxErr := par.DoContext(r.Context(), len(req.Requests), func(i int) {
 		q := req.Requests[i]
 		if q.From == "" || q.To == "" {
@@ -804,9 +788,9 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 		if q.Trace {
 			ctx, tr = obs.WithTrace(ctx)
 		}
-		ent, kind, err := s.compose(ctx, q.From, q.To)
+		ent, kind, err := s.compose(ctx, snap, q.From, q.To)
 		if err != nil {
-			eb := s.composeError(q.From, q.To, err)
+			eb := composeError(snap, q.From, q.To, err)
 			eb.RequestID = reqID
 			items[i].status = composeStatus(err)
 			items[i].errBody = &eb

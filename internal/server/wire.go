@@ -305,9 +305,7 @@ type CatalogResponse struct {
 // Migrations counts catalog publishes the cache transitioned across,
 // EntriesMigrated/EntriesDropped the cumulative per-publish split of
 // surviving vs delta-invalidated entries, and DeltaComputeUS the
-// cumulative snapshot-diff time in microseconds. RewarmQueueDepth and
-// Rewarmed report the background rewarm loop (mapcompd -rewarm): pairs
-// awaiting recomputation and pairs recomputed so far. CacheBytes is the
+// cumulative snapshot-diff time in microseconds. CacheBytes is the
 // exact byte footprint of the cached pre-encoded bodies (the -cache-bytes
 // budget applies to it).
 type StatsResponse struct {
@@ -328,13 +326,11 @@ type StatsResponse struct {
 	EntriesMigrated   int64 `json:"entries_migrated,omitempty"`
 	EntriesDropped    int64 `json:"entries_dropped,omitempty"`
 	DeltaComputeUS    int64 `json:"delta_compute_us,omitempty"`
-	RewarmQueueDepth  int   `json:"rewarm_queue_depth,omitempty"`
-	Rewarmed          int64 `json:"rewarmed,omitempty"`
 	Warmed            int64 `json:"warmed,omitempty"`
-	// Bidirectional-graph statistics, from the current snapshot: edge
-	// counts by provenance, reachable ordered pairs over the full graph
-	// vs registered edges only, and the constraint-level inversion
-	// verdict tally keyed by reason ("ok" for invertible).
+	// Bidirectional-graph statistics, from the snapshot Generation
+	// names: edge counts by provenance, reachable ordered pairs over the
+	// full graph vs registered edges only, and the constraint-level
+	// inversion verdict tally keyed by reason ("ok" for invertible).
 	RegisteredEdges       int            `json:"registered_edges,omitempty"`
 	DerivedEdges          int            `json:"derived_edges,omitempty"`
 	InvertibleMappings    int            `json:"invertible_mappings,omitempty"`

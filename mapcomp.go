@@ -129,7 +129,7 @@
 //     (introduced in PR 5, runtime mirror: the wireEncodes counter).
 //
 //   - lockfreeread: nothing reachable from the catalog's read API
-//     (Generation, Schema, Snapshot, Path, Chain, Compose, …) acquires
+//     (Generation, Schema, Mapping, Snapshot, Snap and its methods) acquires
 //     a mutex or mutates shared state; reads load one immutable
 //     snapshot via atomic.Pointer — the copy-on-write catalog (PR 4).
 //
