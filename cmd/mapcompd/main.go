@@ -73,12 +73,16 @@
 //
 // # Cache survival
 //
-// Catalog mutations do not wipe the result cache. On every publish the
-// server diffs the old and new snapshots and drops only the entries
-// whose composition route actually changed; every other entry migrates
-// in place, keeping its key and pre-encoded bytes ("entries_migrated"
-// vs "entries_dropped" in /v1/stats). A dropped pair is recomputed by
-// the next request for it.
+// Catalog mutations do not wipe the result cache. Every entry keeps the
+// catalog route it was composed from, and on every publish the server
+// checks each cached route against the new snapshot: it drops only the
+// entries whose composition route actually changed, and every other
+// entry migrates in place, keeping its key and pre-encoded bytes
+// ("entries_migrated" vs "entries_dropped" in /v1/stats). The check
+// costs one pass over the mappings plus one pass over the cache; only
+// a publish that adds an edge or flips a mapping's invertibility runs
+// BFS, at most once per cached source schema. A dropped pair is
+// recomputed by the next request for it.
 //
 // The cache is bounded by -cache-bytes (exact pre-encoded body sizes
 // plus per-entry overhead; default 64 MiB). -cache-bytes 0 removes the

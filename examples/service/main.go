@@ -21,9 +21,9 @@
 // /v1/stats reports the shard count and per-shard entry distribution
 // under cache_shards / cache_shard_entries.
 //
-// Entries survive catalog mutations: each publish diffs the old and new
-// catalog snapshots and drops only the entries whose composition route
-// changed, migrating the rest in place (step 6 below shows both
+// Entries survive catalog mutations: each publish checks every cached
+// entry's route against the new catalog snapshot and drops only the
+// entries whose composition route changed, migrating the rest in place (step 6 below shows both
 // outcomes). The cache is bounded in bytes (mapcompd -cache-bytes); a
 // dropped pair is recomputed by the next request for it.
 //
@@ -109,8 +109,9 @@ func main() {
 		gjson(stats, "cache_shards"), gjson(stats, "cache_shard_entries"))
 
 	// 6. Cache survival. Catalog mutations no longer wipe the result
-	// cache: on every publish the server diffs the old and new snapshots
-	// and migrates every entry whose composition route is untouched. An
+	// cache: on every publish the server checks each cached route
+	// against the new snapshot and migrates every entry whose
+	// composition route is untouched. An
 	// unrelated registration leaves original→split cached (same key,
 	// same route generation, no ELIMINATE re-run); re-registering the
 	// chain itself invalidates exactly the routes through it, so the

@@ -239,7 +239,7 @@ func TestDeltaInvalidatesBothDirections(t *testing.T) {
 	}
 	d := ComputeDelta(before, c.Snap())
 	for _, p := range [][2]string{{"v1", "v3"}, {"v3", "v1"}, {"v2", "v1"}, {"v3", "v2"}} {
-		if d.Invalidated(p[0], p[1]) {
+		if d.Invalidated(routeOf(t, before, p[0], p[1])) {
 			t.Fatalf("unrelated mutation invalidated %v", p)
 		}
 	}
@@ -252,7 +252,7 @@ func TestDeltaInvalidatesBothDirections(t *testing.T) {
 	}
 	d = ComputeDelta(before, c.Snap())
 	for _, p := range [][2]string{{"v1", "v2"}, {"v2", "v1"}, {"v1", "v3"}, {"v3", "v1"}} {
-		if !d.Invalidated(p[0], p[1]) {
+		if !d.Invalidated(routeOf(t, before, p[0], p[1])) {
 			t.Fatalf("republish of e1+e2 did not invalidate %v; delta %+v", p, d)
 		}
 	}
@@ -265,12 +265,12 @@ func TestDeltaInvalidatesBothDirections(t *testing.T) {
 	}
 	d = ComputeDelta(before, c.Snap())
 	for _, p := range [][2]string{{"v1", "v2"}, {"v2", "v1"}} {
-		if !d.Invalidated(p[0], p[1]) {
+		if !d.Invalidated(routeOf(t, before, p[0], p[1])) {
 			t.Fatalf("republish of e1 did not invalidate %v", p)
 		}
 	}
 	for _, p := range [][2]string{{"v2", "v3"}, {"v3", "v2"}} {
-		if d.Invalidated(p[0], p[1]) {
+		if d.Invalidated(routeOf(t, before, p[0], p[1])) {
 			t.Fatalf("republish of e1 spuriously invalidated %v", p)
 		}
 	}

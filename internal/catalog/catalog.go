@@ -38,10 +38,11 @@
 // The copy-on-write snapshots also power precise cache invalidation:
 // Snap hands out an immutable snapshot, Snap.Route resolves a pair to
 // its chain plus a route generation (the newest mutation that affected
-// the route), ComputeDelta diffs two snapshots into the exact set of
-// endpoint pairs whose route changed, and SetPublishHook lets the
-// serving layer observe every publication in order so it can migrate
-// its result cache by that delta instead of wiping it (see delta.go).
+// the route), ComputeDelta and Delta.Invalidated tell whether a route
+// resolved before a publish is still the route after it, and
+// SetPublishHook lets the serving layer observe every publication in
+// order so it can migrate its result cache route by route instead of
+// wiping it (see delta.go).
 package catalog
 
 import (
@@ -203,7 +204,7 @@ type view struct {
 	// from the materialized mapping and pointer-reused across views
 	// exactly when the materialization is — so the inverse mapping
 	// pointer is as stable as the forward one, which is what lets
-	// ComputeDelta classify reverse routes by pointer equality.
+	// Delta.Invalidated classify reverse routes by pointer equality.
 	inversions map[string]*core.Inversion
 
 	// graph caches the lazily computed reachability/verdict statistics
@@ -384,7 +385,7 @@ func (c *Catalog) RegisterSchema(name string, sch *algebra.Schema) (*SchemaEntry
 	entry := &SchemaEntry{Name: name, Version: 1, Schema: sch.Clone()}
 	if old, ok := cur.schemas[name]; ok {
 		entry.Version = old.Version + 1
-		if err := recheckMappings(cur, name, entry.Schema); err != nil {
+		if err := recheckMappings(cur, map[string]*algebra.Schema{name: entry.Schema}, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -413,21 +414,32 @@ func checkMapping(name string, from, to *algebra.Schema, cs algebra.ConstraintSe
 	return nil
 }
 
-// recheckMappings validates every registered mapping touching schema
-// name against its proposed replacement.
-func recheckMappings(v *view, name string, sch *algebra.Schema) error {
+// recheckMappings validates every registered mapping with an endpoint
+// in updated against the proposed signatures, skipping the mappings
+// named in replaced (a batch validates those as incoming). A mapping
+// touching no updated schema keeps exactly the schema entries it was
+// validated against, so it is not checked again.
+func recheckMappings(v *view, updated map[string]*algebra.Schema, replaced map[string]*parser.MapDecl) error {
 	for _, m := range v.mapList {
-		if m.From != name && m.To != name {
+		from, fromUpdated := updated[m.From]
+		to, toUpdated := updated[m.To]
+		if !fromUpdated && !toUpdated {
 			continue
 		}
-		from, to := v.schemas[m.From].Schema, v.schemas[m.To].Schema
-		if m.From == name {
-			from = sch
+		if _, ok := replaced[m.Name]; ok {
+			continue
 		}
-		if m.To == name {
-			to = sch
+		if !fromUpdated {
+			from = v.schemas[m.From].Schema
+		}
+		if !toUpdated {
+			to = v.schemas[m.To].Schema
 		}
 		if err := checkMapping(m.Name, from, to, m.Constraints); err != nil {
+			name := m.From
+			if !fromUpdated {
+				name = m.To
+			}
 			return fmt.Errorf("catalog: schema %s update rejected: %w", name, err)
 		}
 	}
@@ -490,44 +502,44 @@ func (c *Catalog) Apply(p *parser.Problem) (uint64, error) {
 		return cur.gen, nil
 	}
 
-	// Stage: a view of the schemas as they will be after the apply, so
-	// new mappings can reference new schemas and mapping re-validation
-	// sees updated signatures.
-	staged := make(map[string]*algebra.Schema, len(cur.schemas)+len(p.Schemas))
-	for n, e := range cur.schemas {
-		staged[n] = e.Schema
-	}
+	// Stage the schemas as they will be after the apply, so new
+	// mappings can reference new schemas and mapping re-validation sees
+	// updated signatures.
+	updated := make(map[string]*algebra.Schema, len(p.SchemaOrder))
 	for _, name := range p.SchemaOrder {
 		sch := p.Schemas[name]
 		if len(sch.Sig) == 0 {
 			return cur.gen, fmt.Errorf("catalog: schema %s has no relations", name)
 		}
-		staged[name] = sch
+		updated[name] = sch
 	}
-	// Every pre-existing mapping must stay well-formed over the staged
-	// schemas, and every incoming mapping must validate against them.
-	check := func(m *MappingEntry) error {
-		from, ok := staged[m.From]
-		if !ok {
-			return fmt.Errorf("catalog: mapping %s references unknown schema %s", m.Name, m.From)
+	staged := func(name string) (*algebra.Schema, bool) {
+		if sch, ok := updated[name]; ok {
+			return sch, true
 		}
-		to, ok := staged[m.To]
+		e, ok := cur.schemas[name]
 		if !ok {
-			return fmt.Errorf("catalog: mapping %s references unknown schema %s", m.Name, m.To)
+			return nil, false
 		}
-		return checkMapping(m.Name, from, to, m.Constraints)
+		return e.Schema, true
 	}
-	for _, m := range cur.mapList {
-		if _, incoming := p.Maps[m.Name]; incoming {
-			continue // replaced below; validated as incoming
-		}
-		if err := check(m); err != nil {
-			return cur.gen, err
-		}
+	// Every pre-existing mapping on an updated schema must stay
+	// well-formed, and every incoming mapping must validate against the
+	// staged schemas.
+	if err := recheckMappings(cur, updated, p.Maps); err != nil {
+		return cur.gen, err
 	}
 	for _, name := range p.MapOrder {
 		d := p.Maps[name]
-		if err := check(&MappingEntry{Name: name, From: d.From, To: d.To, Constraints: d.Constraints}); err != nil {
+		from, ok := staged(d.From)
+		if !ok {
+			return cur.gen, fmt.Errorf("catalog: mapping %s references unknown schema %s", name, d.From)
+		}
+		to, ok := staged(d.To)
+		if !ok {
+			return cur.gen, fmt.Errorf("catalog: mapping %s references unknown schema %s", name, d.To)
+		}
+		if err := checkMapping(name, from, to, d.Constraints); err != nil {
 			return cur.gen, err
 		}
 	}

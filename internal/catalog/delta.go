@@ -1,16 +1,23 @@
-// Snapshot diffing for generation-delta cache survival. The serving
-// layer caches composition results per endpoint pair; before this file
-// existed, any catalog mutation orphaned the entire cache because the
-// generation was part of every cache key. The copy-on-write snapshots
-// make a far more precise contract cheap: two snapshots share entry and
-// materialized-mapping pointers for everything a mutation did not
-// touch, so diffing them — ComputeDelta — identifies exactly the
-// endpoint pairs whose BFS route changed (different path, a replaced
-// mapping revision on the path, or an endpoint-schema update that
-// re-materialized an edge), became newly reachable, or became
-// unreachable. Every other pair's composition result is provably
-// byte-identical across the two generations and can survive the
-// mutation untouched.
+// Per-route publish deltas for generation-delta cache survival. The
+// serving layer caches composition results per endpoint pair; before
+// this file existed, any catalog mutation orphaned the entire cache
+// because the generation was part of every cache key. The copy-on-write
+// snapshots make a far more precise contract cheap: two snapshots share
+// entry and materialized-mapping pointers for everything a mutation did
+// not touch, so a cached result's route can be checked against the new
+// snapshot — Delta.Invalidated — and every route that is still the
+// route (same path, same mapping revisions, same endpoint schema
+// revisions) keeps a result that is provably byte-identical across the
+// two generations.
+//
+// The check is cheap because BFS reads only the graph's shape — each
+// mapping's endpoints and whether it has a derived inverse — and never
+// a materialization. ComputeDelta is one O(M) merge walk over the two
+// mapping lists. When the shape is unchanged every route keeps its path
+// and survives unless one of its hop materializations was replaced; on
+// a shape change each route is compared with the new snapshot's BFS
+// tree from its source, at most one memoized BFS per cached source. No
+// schema-pair lists are built.
 //
 // Route generations make that survival visible on the wire: a Route
 // carries the generation of the newest mutation that affected it (the
@@ -20,11 +27,7 @@
 // reasons that do not concern it.
 package catalog
 
-import (
-	"sort"
-
-	"mapcomp/internal/algebra"
-)
+import "mapcomp/internal/algebra"
 
 // Snap is a handle to one immutable catalog snapshot. It is safe to
 // hold indefinitely and to share between goroutines; the snapshot never
@@ -122,150 +125,139 @@ func (c *Catalog) SetPublishHook(h PublishHook) {
 	c.publish = h
 }
 
-// Delta is the set of ordered endpoint pairs whose resolution differs
-// between two snapshots. Every pair not listed resolves to an
-// identical route — same path, same mapping revisions, same endpoint
-// schema revisions — in both snapshots, so a composition result
-// computed under the old snapshot is byte-identical to one computed
-// under the new.
+// Delta answers, for a route resolved in the old snapshot of a
+// publish, whether it is still the route in the new one. It holds no
+// pair lists: the serving layer asks about each route it has cached,
+// and nothing else can be stale. Routes are compared by materialized
+// mapping pointer — freeze reuses a materialization exactly when the
+// mapping entry and both endpoint schema entries are unchanged, so
+// pointer equality captures mapping updates and schema
+// re-registrations alike, across any number of intervening
+// generations, and an unchanged route also keeps its Route.Gen.
+//
+// A Delta belongs to one goroutine: Invalidated memoizes BFS trees of
+// the new snapshot. The publish hook runs serialized under the
+// catalog's write lock, which is all the serving layer needs.
 type Delta struct {
 	// FromGen and ToGen are the generations the delta spans.
 	FromGen, ToGen uint64
-	// Changed lists pairs reachable in both snapshots whose route
-	// differs: the path, a mapping revision on it, or an endpoint
-	// schema revision of one of its hops changed.
-	Changed [][2]string
-	// Lost lists pairs reachable in the old snapshot but not the new.
-	Lost [][2]string
-	// Gained lists pairs reachable in the new snapshot but not the old
-	// — nothing cached can exist for them, so they never invalidate.
-	Gained [][2]string
 
-	stale map[[2]string]struct{} // Changed ∪ Lost
+	// shapeChanged reports that the publish added or removed an edge
+	// of the bidirectional graph: a new, removed or re-pointed mapping,
+	// or one whose derived inverse appeared or vanished. BFS reads
+	// only that shape, so without a shape change every route keeps its
+	// path.
+	shapeChanged bool
+	// replaced holds the old snapshot's materializations — forward and
+	// derived-inverse — that the new snapshot no longer has.
+	replaced map[*algebra.Mapping]struct{}
+	nv       *view
+	// trees memoizes the new snapshot's bfsFrom tree per source index
+	// on a shape change.
+	trees map[int]bfsTree
 }
 
-// Invalidated reports whether a cached result for the ordered pair
-// (from, to) is stale across this delta: its route changed or its
-// endpoints are no longer connected.
-func (d *Delta) Invalidated(from, to string) bool {
-	_, ok := d.stale[[2]string{from, to}]
-	return ok
+// bfsTree is one source's bfsFrom result: the discovering edge and the
+// predecessor of every node.
+type bfsTree struct {
+	via  []*edge
+	prev []int
 }
 
-// ComputeDelta diffs two snapshots of the same catalog (old must not be
-// newer than new). It exploits the copy-on-write structure sharing:
-// a route is unchanged exactly when every hop resolves to the same
-// materialized mapping pointer in both snapshots — freeze only reuses a
-// materialized mapping when the mapping entry and both endpoint schema
-// entries are untouched, so pointer equality captures mapping updates
-// and schema re-registrations alike, across any number of intervening
-// generations. Cost is two BFS runs per schema, O(S·(S+E)); the output
-// pair lists are sorted, so equal snapshots always produce equal
-// deltas.
+// ComputeDelta prepares the per-route check between two snapshots of
+// the same catalog (old must not be newer than new). It runs no BFS: a
+// merge walk over the two name-sorted mapping lists decides whether
+// the graph's shape changed and collects the old materializations the
+// new snapshot replaced, so its cost is O(M) in the mapping count. BFS
+// runs only in Invalidated, and only on a shape change: at most one BFS
+// per distinct source among the routes asked about.
 func ComputeDelta(old, new Snap) *Delta {
 	ov, nv := old.v, new.v
-	d := &Delta{FromGen: ov.gen, ToGen: nv.gen, stale: make(map[[2]string]struct{})}
-
-	// Sources: union of the two schema sets, in sorted order. Mutations
-	// never remove schemas, but Restore-built snapshots make the union
-	// the honest domain.
-	sources := make([]string, 0, len(ov.schemaList)+4)
-	for _, e := range ov.schemaList {
-		sources = append(sources, e.Name)
-	}
-	for _, e := range nv.schemaList {
-		if _, ok := ov.schemas[e.Name]; !ok {
-			sources = append(sources, e.Name)
+	d := &Delta{FromGen: ov.gen, ToGen: nv.gen, nv: nv}
+	replace := func(name string) {
+		if d.replaced == nil {
+			d.replaced = make(map[*algebra.Mapping]struct{})
+		}
+		d.replaced[ov.mappings[name]] = struct{}{}
+		if inv := ov.inversions[name]; inv.Invertible() {
+			d.replaced[inv.Mapping] = struct{}{}
 		}
 	}
-	sort.Strings(sources)
-
-	for _, src := range sources {
-		oi, inOld := ov.schemaIdx[src]
-		ni, inNew := nv.schemaIdx[src]
+	om, nm := ov.mapList, nv.mapList
+	for i, j := 0, 0; i < len(om) || j < len(nm); {
 		switch {
-		case inOld && inNew:
-			d.diffSource(ov, nv, src, oi, ni)
-		case inOld:
-			// Source vanished: every pair it could reach is lost.
-			_, _, oldOrder := ov.bfsFrom(oi)
-			for _, x := range oldOrder {
-				d.Lost = append(d.Lost, [2]string{src, ov.schemaList[x].Name})
-			}
+		case j == len(nm) || (i < len(om) && om[i].Name < nm[j].Name):
+			// A mapping vanished. No mutation removes one, but the walk
+			// stays total: its edges left the graph.
+			d.shapeChanged = true
+			replace(om[i].Name)
+			i++
+		case i == len(om) || nm[j].Name < om[i].Name:
+			d.shapeChanged = true // a new mapping: a new edge
+			j++
 		default:
-			// Brand-new source: every pair it reaches is gained.
-			_, _, newOrder := nv.bfsFrom(ni)
-			for _, x := range newOrder {
-				d.Gained = append(d.Gained, [2]string{src, nv.schemaList[x].Name})
+			name := om[i].Name
+			if ov.mappings[name] != nv.mappings[name] {
+				replace(name)
+				if om[i].From != nm[j].From || om[i].To != nm[j].To ||
+					ov.inversions[name].Invertible() != nv.inversions[name].Invertible() {
+					d.shapeChanged = true
+				}
 			}
+			i++
+			j++
 		}
-	}
-
-	sortPairs(d.Changed)
-	sortPairs(d.Lost)
-	sortPairs(d.Gained)
-	for _, p := range d.Changed {
-		d.stale[p] = struct{}{}
-	}
-	for _, p := range d.Lost {
-		d.stale[p] = struct{}{}
 	}
 	return d
 }
 
-// diffSource classifies every destination reachable from src in either
-// snapshot. The bfsFrom tree holds exactly the routes Route resolves:
-// a node's route is fixed at its discovery, which is deterministic.
-// Route comparison propagates along the new BFS tree: a
-// node's route changed iff its discovering edge resolves to a
-// different materialized mapping (or a different mapping name or
-// traversal direction) than in the old tree, or the route to its
-// predecessor already changed. The predecessor is implied by the
-// discovering edge (its source endpoint), so an identical edge
-// guarantees an identical predecessor and the prefix comparison is
-// exactly the recursive route comparison. BFS order guarantees the
-// predecessor is classified first.
+// Invalidated reports whether r, a route resolved in the delta's old
+// snapshot (or one unchanged since), is stale in the new snapshot: its
+// pair now resolves to a different path, through a replaced mapping
+// revision or endpoint schema revision, or not at all. A route whose
+// source schema the new snapshot does not know is invalidated.
 //
-// The materialization comparison covers both directions of a mapping
-// at once: freeze reuses a derived-inverse materialization exactly when
-// it reuses the forward one, so republishing a mapping produces fresh
-// pointers for both its forward and its derived edge — every route
-// using the mapping in either direction classifies as changed.
-func (d *Delta) diffSource(ov, nv *view, src string, oi, ni int) {
-	oldVia, _, oldOrder := ov.bfsFrom(oi)
-	newVia, newPrev, newOrder := nv.bfsFrom(ni)
-	changed := make([]bool, len(nv.schemaList))
-	for _, x := range newOrder {
-		name := nv.schemaList[x].Name
-		ox, inOld := ov.schemaIdx[name]
-		if !inOld || oldVia[ox] == nil {
-			// Reachable now, not before. Mark the subtree changed: any
-			// route through a newly reachable node cannot match an old
-			// route, which could not pass through it.
-			changed[x] = true
-			d.Gained = append(d.Gained, [2]string{src, name})
-			continue
-		}
-		nm, om := newVia[x], oldVia[ox]
-		if changed[newPrev[x]] || nm.m.Name != om.m.Name || nm.inv != om.inv || nm.mat != om.mat {
-			changed[x] = true
-			d.Changed = append(d.Changed, [2]string{src, name})
-		}
+// Without a shape change every route keeps its path, so r is stale iff
+// one of its hop materializations was replaced. After a shape change r
+// is compared hop by hop with the new snapshot's BFS tree from its
+// source — mapping name, direction, materialization and the final
+// schema — which is exactly the route Snap.Route would resolve.
+func (d *Delta) Invalidated(r *Route) bool {
+	if r == nil || len(r.Hops) == 0 {
+		return true
 	}
-	for _, x := range oldOrder {
-		name := ov.schemaList[x].Name
-		nx, inNew := nv.schemaIdx[name]
-		if !inNew || newVia[nx] == nil {
-			d.Lost = append(d.Lost, [2]string{src, name})
-		}
+	nv := d.nv
+	src, ok := nv.schemaIdx[r.Hops[0].From]
+	if !ok {
+		return true
 	}
-}
-
-func sortPairs(ps [][2]string) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
+	if !d.shapeChanged {
+		for _, m := range r.ms {
+			if _, ok := d.replaced[m]; ok {
+				return true
+			}
 		}
-		return ps[i][1] < ps[j][1]
-	})
+		return false
+	}
+	t, ok := d.trees[src]
+	if !ok {
+		via, prev, _ := nv.bfsFrom(src)
+		t = bfsTree{via: via, prev: prev}
+		if d.trees == nil {
+			d.trees = make(map[int]bfsTree)
+		}
+		d.trees[src] = t
+	}
+	x, ok := nv.schemaIdx[r.Hops[len(r.Hops)-1].To]
+	if !ok {
+		return true
+	}
+	for i := len(r.Hops) - 1; i >= 0; i-- {
+		e, h := t.via[x], &r.Hops[i]
+		if e == nil || e.m.Name != h.Mapping || e.inv != (h.Prov == ProvDerivedInverse) || e.mat != r.ms[i] {
+			return true
+		}
+		x = t.prev[x]
+	}
+	return x != src
 }

@@ -33,9 +33,10 @@ type GraphStats struct {
 }
 
 // graphStats computes the statistics for this view. Cost is two BFS
-// sweeps per schema, O(S·(S+E)) — the same shape as ComputeDelta — so
-// it is computed lazily on first request and cached on the immutable
-// view; every later call on the same snapshot is a pointer load.
+// sweeps per schema, O(S·(S+E)) — the one all-pairs computation left
+// per publish — so it is computed lazily on first request and cached
+// on the immutable view; every later call on the same snapshot is a
+// pointer load.
 func (v *view) graphStats() *GraphStats {
 	if gs := v.graph.Load(); gs != nil {
 		return gs

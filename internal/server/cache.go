@@ -85,33 +85,38 @@ type flightKey struct {
 }
 
 // entryOverhead approximates the fixed per-entry cost beyond the
-// pre-encoded body: the entry struct, the decoded response it retains,
-// and its slots in the two view maps. It keeps byte accounting honest
-// for caches full of tiny results.
+// pre-encoded body: the entry struct, the decoded response and the
+// route it retains, and its slots in the two view maps. It keeps byte
+// accounting honest for caches full of tiny results.
 const entryOverhead = 512
 
 // cacheEntry is one stored result: the decoded response (Cached=false,
 // as computed), its rendered key — the wire handle for
-// GET /v1/results/{key} — the pre-encoded cached=true body, and the
-// validated-at watermark.
+// GET /v1/results/{key} — the pre-encoded cached=true body, the route
+// it was composed from, and the validated-at watermark.
 type cacheEntry struct {
 	pair pairKey
 	skey string
 	resp *ComposeResponse
-	enc  []byte        // pre-encoded wire body with cached=true; nil only if encoding failed
-	size int64         // exact byte charge: len(enc)+len(skey)+entryOverhead
-	gen  atomic.Uint64 // validated-at watermark; bumped in place by migrate
-	used atomic.Int64  // shard clock value at last touch (approximate LRU)
+	// route is the catalog route resp was composed from, unchanged at
+	// every generation up to the watermark; migrate asks the publish
+	// delta whether it is still the route. nil only for entries built
+	// outside compose, which the next publish drops.
+	route *catalog.Route
+	enc   []byte        // pre-encoded wire body with cached=true; nil only if encoding failed
+	size  int64         // exact byte charge: len(enc)+len(skey)+entryOverhead
+	gen   atomic.Uint64 // validated-at watermark; bumped in place by migrate
+	used  atomic.Int64  // shard clock value at last touch (approximate LRU)
 }
 
 // newCacheEntry builds the stored form of a freshly computed response,
 // paying the single hit-path encode up front: every future hit writes
-// enc verbatim. gen is the generation of the snapshot the response was
-// computed under. An encoding failure (impossible for the wire types,
-// but kept non-fatal) leaves enc nil and the handlers fall back to
-// marshaling per hit.
-func newCacheEntry(pair pairKey, resp *ComposeResponse, gen uint64) *cacheEntry {
-	ent := &cacheEntry{pair: pair, skey: resp.Key, resp: resp}
+// enc verbatim. route is the route resp was composed from and gen the
+// generation of the snapshot it was resolved in. An encoding failure
+// (impossible for the wire types, but kept non-fatal) leaves enc nil
+// and the handlers fall back to marshaling per hit.
+func newCacheEntry(pair pairKey, resp *ComposeResponse, route *catalog.Route, gen uint64) *cacheEntry {
+	ent := &cacheEntry{pair: pair, skey: resp.Key, resp: resp, route: route}
 	ent.gen.Store(gen)
 	hit := *resp
 	hit.Cached = true
@@ -275,14 +280,14 @@ func (sh *cacheShard) touch(ent *cacheEntry) {
 // observed the same generation. A stored entry satisfies the request
 // iff its watermark is ≥ gen — entries migrated across catalog
 // mutations keep serving, entries the delta invalidated were dropped
-// and miss. compute returns the response plus the generation of the
-// snapshot it actually composed under, which becomes the new entry's
-// watermark. Responses are stored only on success; errors are shared
-// with coalesced waiters but never cached, and a context-cancellation
-// outcome is not even shared — it hands the flight off (see the package
-// comment). The stored entry's skey is the computed response's Key
+// and miss. compute returns the response, the route it was composed
+// from and the generation of the snapshot it actually composed under,
+// which becomes the new entry's watermark. Responses are stored only
+// on success; errors are shared with coalesced waiters but never
+// cached, and a context-cancellation outcome is not even shared — it
+// hands the flight off (see the package comment). The stored entry's skey is the computed response's Key
 // field, rendered once inside the computation.
-func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute func(context.Context) (*ComposeResponse, uint64, error)) (*cacheEntry, hitKind, error) {
+func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute func(context.Context) (*ComposeResponse, *catalog.Route, uint64, error)) (*cacheEntry, hitKind, error) {
 	sh := c.shard(pair)
 	fk := flightKey{pair: pair, gen: gen}
 	for {
@@ -321,11 +326,11 @@ func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute 
 		sh.calls[fk] = cl
 		sh.mu.Unlock()
 
-		resp, snapGen, err := compute(ctx)
+		resp, route, snapGen, err := compute(ctx)
 		cl.err = err
 		if err == nil {
 			// Encode outside the lock: the store below is map copies only.
-			cl.ent = newCacheEntry(pair, resp, snapGen)
+			cl.ent = newCacheEntry(pair, resp, route, snapGen)
 		}
 
 		sh.mu.Lock()
@@ -418,19 +423,20 @@ type migration struct {
 }
 
 // onPublish is the catalog publish hook. It transitions the result
-// cache across one catalog mutation: it diffs the two snapshots and
-// drops exactly the pairs whose route changed, migrating every other
-// entry in place. The singleflight and lock-free hit machinery keep
-// running throughout: the hook only bumps watermarks and republishes
-// shard views. Dropped pairs are recomputed by the next request for
-// them, or by the next Warm.
+// cache across one catalog mutation: it asks the publish delta about
+// each cached entry's route and drops exactly the entries whose route
+// changed, migrating every other entry in place. The singleflight and
+// lock-free hit machinery keep running throughout: the hook only bumps
+// watermarks and republishes shard views. Dropped pairs are recomputed
+// by the next request for them, or by the next Warm.
 //
 // The hook runs inside the catalog's write lock, so it is strictly
 // ordered — migration for generation N completes before the mutation
 // producing N+1 can publish — which is what makes the per-publish
 // counter identity (candidates = migrated + dropped) exact. The work is
-// bounded: ComputeDelta is two BFS runs per schema and migrate one pass
-// over the cached entries.
+// bounded: ComputeDelta is one pass over the mapping lists, and migrate
+// one pass over the cached entries, which on a shape change adds at
+// most one BFS per distinct cached source.
 func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
 	start := time.Now()
 	delta := catalog.ComputeDelta(oldSnap, newSnap)
@@ -438,7 +444,9 @@ func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
 	s.deltaUS.Add(dd.Microseconds()) // /v1/stats's running total; the histogram has the tail
 	deltaComputeSeconds.Observe(dd)
 	migStart := time.Now()
-	m := s.cache.migrate(oldSnap.Generation(), newSnap.Generation(), delta.Invalidated)
+	m := s.cache.migrate(oldSnap.Generation(), newSnap.Generation(), func(e *cacheEntry) bool {
+		return delta.Invalidated(e.route)
+	})
 	cacheMigrateSeconds.Observe(time.Since(migStart))
 	s.migrations.Add(1)
 	s.entriesMigrated.Add(int64(m.migrated))
@@ -452,18 +460,20 @@ func (s *Server) onPublish(oldSnap, newSnap catalog.Snap) {
 }
 
 // migrate transitions the cache across a catalog publish oldGen→newGen.
-// invalid reports whether a pair's route changed across the publish
-// (ComputeDelta's Invalidated). For every entry validated before
+// invalid reports whether an entry's route changed across the publish
+// (the delta's Invalidated). For every entry validated before
 // newGen: if its route is unchanged and its watermark is exactly the
 // published range's floor or newer, the watermark is bumped to newGen
 // in place — the entry keeps its identity, its pre-encoded bytes and
 // its recency, and concurrent lock-free hits keep being served off the
 // existing view throughout.
-// Entries whose route changed are dropped, as are strays validated
-// before oldGen (an insert that raced past earlier publishes; its route
-// may have changed across a span this delta does not cover, so dropping
-// is the conservative choice — the next request recomputes).
-func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to string) bool) migration {
+// Entries whose route changed are dropped, as are entries without a
+// route and strays validated before oldGen (an insert that raced past
+// earlier publishes; its route may have changed across a span this
+// delta does not cover, so dropping is the conservative choice — the
+// next request recomputes). Every other candidate's route is its route
+// at oldGen, which is what the delta's check requires.
+func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(*cacheEntry) bool) migration {
 	var m migration
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -475,7 +485,7 @@ func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(from, to strin
 				continue
 			}
 			m.candidates++
-			if g < oldGen || invalid(e.pair.from, e.pair.to) {
+			if g < oldGen || e.route == nil || invalid(e) {
 				drops = append(drops, e)
 				continue
 			}

@@ -18,6 +18,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mapcomp/internal/parser"
 )
 
 // clusterTask renders a self-contained registration body for cluster i:
@@ -83,15 +85,22 @@ func normalizeResponse(t *testing.T, rec *httptest.ResponseRecorder) []byte {
 	return b
 }
 
-// TestDeltaEquivalenceProperty interleaves randomized cluster
-// re-registrations with composes over two servers fed identical
-// mutation streams: one with delta invalidation and one with the cache
-// disabled — the full-recompute oracle. After every mutation the full
-// pair sweep must agree byte-for-byte (modulo the cached flag and
-// measured durations), so no route-changed pair is ever served a stale
-// migrated entry (the oracle recomputes everything, every time). The
-// delta server must also have actually survived: it composes each pair
-// once, plus at most the ≤ 6 pairs of each re-registered cluster.
+// TestDeltaEquivalenceProperty interleaves catalog mutations with
+// composes over two servers fed identical mutation streams: one with
+// delta invalidation and one with the cache disabled — the
+// full-recompute oracle. After every mutation the full pair sweep must
+// agree byte-for-byte (modulo the cached flag, measured durations and
+// request IDs) on status code and body, so no route-changed pair is
+// ever served a stale migrated entry (the oracle recomputes
+// everything, every time). A randomized first phase keeps the graph's
+// shape (cluster re-registrations, unrelated noise schemas); a
+// scripted second phase changes it: shortcut mappings a→c turn
+// two-hop routes into one hop, and republishing an invertible
+// cluster's first mapping as a containment reroutes or disconnects
+// its reverse pairs (404 on both servers) until a later republish
+// makes it invertible again. The delta server must also have actually
+// survived: it composes each pair once, plus at most the ≤ 6 pairs of
+// the cluster each route-changing mutation touched.
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	const clusters = 6
 	delta := New(Config{})
@@ -106,6 +115,22 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			}
 		}
 	}
+	// registerMapping republishes (or adds) one mapping between two
+	// cluster schemas without touching the schemas themselves, which
+	// only the catalog API can do: a register body must declare them.
+	registerMapping := func(name, from, to, fromRel, toRel, body string) {
+		t.Helper()
+		p, err := parser.Parse(fmt.Sprintf("schema %s { %s/2; }\nschema %s { %s/2; }\nmap %s : %s -> %s { %s; }\n",
+			from, fromRel, to, toRel, name, from, to, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range servers {
+			if _, err := s.cat.RegisterMapping(name, from, to, p.Maps[name].Constraints); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for i := 0; i < clusters; i++ {
 		apply(clusterTask(i))
 	}
@@ -116,22 +141,38 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	// surviving unrelated mutations and dropping when their mapping
 	// republishes (freeze re-derives the inverse, so both directions
 	// invalidate).
-	pairs := 0
+	pairs, notFound := 0, 0
 	sweep := func(step string) {
 		t.Helper()
 		for i := 0; i < clusters; i++ {
 			for _, p := range clusterAllPairs(i) {
 				body := fmt.Sprintf(`{"from":%q,"to":%q}`, p[0], p[1])
+				var codes []int
 				var got [][]byte
 				for _, s := range servers {
 					rec := do(t, s, "POST", "/v1/compose", body)
-					if rec.Code != http.StatusOK {
+					codes = append(codes, rec.Code)
+					switch rec.Code {
+					case http.StatusOK:
+						got = append(got, normalizeResponse(t, rec))
+					case http.StatusNotFound:
+						eb := decode[ErrorJSON](t, rec)
+						eb.RequestID = ""
+						b, err := marshalWire(&eb)
+						if err != nil {
+							t.Fatalf("normalize: %v", err)
+						}
+						got = append(got, b)
+					default:
 						t.Fatalf("%s: compose %s: %d %s", step, body, rec.Code, rec.Body)
 					}
-					got = append(got, normalizeResponse(t, rec))
 				}
-				if !bytes.Equal(got[0], got[1]) {
-					t.Fatalf("%s: %s: delta cache diverged from full recompute:\ndelta  %s\noracle %s", step, body, got[0], got[1])
+				if codes[0] != codes[1] || !bytes.Equal(got[0], got[1]) {
+					t.Fatalf("%s: %s: delta cache diverged from full recompute:\ndelta  %d %s\noracle %d %s",
+						step, body, codes[0], got[0], codes[1], got[1])
+				}
+				if codes[0] == http.StatusNotFound {
+					notFound++
 				}
 				if step == "initial" {
 					pairs++
@@ -142,17 +183,10 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 
 	sweep("initial")
 	rng := rand.New(rand.NewSource(61))
-	reRegistrations := 0
-	for step := 0; step < 12; step++ {
-		// Mutate: mostly cluster re-registrations (route-changing for
-		// that cluster), sometimes an unrelated noise schema (route-
-		// changing for nothing).
-		if rng.Intn(3) == 0 {
-			apply(fmt.Sprintf("schema noise%d { N%d/1; }", step, step))
-		} else {
-			apply(clusterTask(rng.Intn(clusters)))
-			reRegistrations++
-		}
+	routeChanges := 0
+	step := func(name string, mutate func()) {
+		t.Helper()
+		mutate()
 		// A few random composes first, so the sweep also compares pairs
 		// whose entries were touched at different recencies.
 		for k := 0; k < 4; k++ {
@@ -164,20 +198,88 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
-		sweep(fmt.Sprintf("step %d", step))
+		sweep(name)
+	}
+
+	// Same-shape mutations: mostly cluster re-registrations (route-
+	// changing for that cluster), sometimes an unrelated noise schema
+	// (route-changing for nothing).
+	for i := 0; i < 12; i++ {
+		step(fmt.Sprintf("step %d", i), func() {
+			if rng.Intn(3) == 0 {
+				apply(fmt.Sprintf("schema noise%d { N%d/1; }", i, i))
+				return
+			}
+			apply(clusterTask(rng.Intn(clusters)))
+			routeChanges++
+		})
+	}
+
+	// Shape changes, each touching one cluster. A shortcut m<i>ac is
+	// invertible on odd clusters, like the rest of the cluster.
+	shortcut := func(i int) func() {
+		return func() {
+			body := fmt.Sprintf("A%d <= C%d", i, i)
+			if i%2 == 1 {
+				body = fmt.Sprintf("proj[2,1](A%d) = C%d", i, i)
+			}
+			registerMapping(fmt.Sprintf("m%dac", i), fmt.Sprintf("c%da", i), fmt.Sprintf("c%dc", i),
+				fmt.Sprintf("A%d", i), fmt.Sprintf("C%d", i), body)
+			routeChanges++
+		}
+	}
+	// flip republishes an odd cluster's m<i>ab as a containment or back
+	// as an invertible equality, removing or restoring its derived
+	// inverse edge.
+	flip := func(i int, invertible bool) func() {
+		return func() {
+			body := fmt.Sprintf("A%d <= B%d", i, i)
+			if invertible {
+				body = fmt.Sprintf("proj[2,1](A%d) = B%d", i, i)
+			}
+			registerMapping(fmt.Sprintf("m%dab", i), fmt.Sprintf("c%da", i), fmt.Sprintf("c%db", i),
+				fmt.Sprintf("A%d", i), fmt.Sprintf("B%d", i), body)
+			routeChanges++
+		}
+	}
+	for _, sc := range []struct {
+		name   string
+		mutate func()
+	}{
+		// c1a→c1c and c1c→c1a go from two hops to one.
+		{"shortcut c1", shortcut(1)},
+		{"shortcut c2", shortcut(2)},
+		// c1b→c1a loses its inverse edge and reroutes through c1c.
+		{"containment m1ab", flip(1, false)},
+		{"re-register c3", func() { apply(clusterTask(3)); routeChanges++ }},
+		// c1b→c1a is one hop again; its cached two-hop route does not
+		// cross m1ab, so only the shape change can invalidate it.
+		{"invertible m1ab", flip(1, true)},
+		// c3b→c3a and c3c→c3a become unreachable: 404 on both servers.
+		{"containment m3ab", flip(3, false)},
+		{"noise", func() { apply("schema noiseshape { NS/1; }") }},
+		// ...and come back.
+		{"invertible m3ab", flip(3, true)},
+	} {
+		step(sc.name, sc.mutate)
+	}
+	if notFound == 0 {
+		t.Fatal("no sweep saw an unreachable pair: the invertibility flip did not bite")
 	}
 
 	// The whole point: the delta cache must have actually survived. A
-	// re-registration drops only its own cluster's ≤ 6 pairs, and a noise
-	// schema drops nothing, so every other compose is a hit.
+	// route-changing mutation drops only its own cluster's ≤ 6 pairs,
+	// and a noise schema drops nothing, so every other compose is a hit.
 	dc := delta.Stats()
-	if limit := int64(pairs + 6*reRegistrations); dc.Composes > limit {
-		t.Fatalf("delta server composed %d times, want ≤ %d (%d pairs + 6 × %d re-registrations)",
-			dc.Composes, limit, pairs, reRegistrations)
+	if limit := int64(pairs + 6*routeChanges); dc.Composes > limit {
+		t.Fatalf("delta server composed %d times, want ≤ %d (%d pairs + 6 × %d route-changing mutations)",
+			dc.Composes, limit, pairs, routeChanges)
 	}
 	if dc.EntriesMigrated == 0 {
 		t.Fatal("no entries were ever migrated")
 	}
+	t.Logf("%d composes (limit %d), %d unreachable sweeps, %d migrated, %d dropped",
+		dc.Composes, pairs+6*routeChanges, notFound, dc.EntriesMigrated, dc.EntriesDropped)
 }
 
 // TestMixedWorkloadSurvivalFloor pins cache survival under a steady

@@ -67,9 +67,13 @@ var verdictSeconds = map[string]*obs.Histogram{
 	"aborted":    obs.Hist("mapcomp_compose_verdict_seconds", `verdict="aborted"`),
 }
 
-// Cache-survival timings: the PR 6 delta machinery's phases as
-// histograms (the delta_compute_us stats counter stays for
-// compatibility; these carry the distribution).
+// Cache-survival timings: the publish hook's two phases as histograms
+// (the delta_compute_us stats counter stays for compatibility; these
+// carry the distribution). The delta histogram times ComputeDelta's
+// shape diff, one pass over the mapping lists; the per-entry route
+// checks, and any BFS a shape change makes them run, land in the
+// migrate histogram. Both run inside the catalog write lock, so both
+// sit inside the catalog_apply ledger row.
 var (
 	deltaComputeSeconds = obs.Hist("mapcomp_cache_delta_compute_seconds", "")
 	cacheMigrateSeconds = obs.Hist("mapcomp_cache_migrate_seconds", "")

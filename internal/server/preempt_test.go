@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mapcomp/internal/catalog"
 )
 
 // awaitDeadline is a composeHook for preemption tests: it returns once
@@ -126,10 +128,10 @@ func TestAbandonedFlightHandsOffToLiveWaiter(t *testing.T) {
 	leaderGo := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(leaderCtx, pair, 1, func(ctx context.Context) (*ComposeResponse, uint64, error) {
+		_, _, err := c.do(leaderCtx, pair, 1, func(ctx context.Context) (*ComposeResponse, *catalog.Route, uint64, error) {
 			close(leaderIn)
 			<-leaderGo
-			return nil, 0, ctx.Err()
+			return nil, nil, 0, ctx.Err()
 		})
 		leaderDone <- err
 	}()
@@ -139,9 +141,9 @@ func TestAbandonedFlightHandsOffToLiveWaiter(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var got *cacheEntry
 	go func() {
-		ent, _, err := c.do(context.Background(), pair, 1, func(context.Context) (*ComposeResponse, uint64, error) {
+		ent, _, err := c.do(context.Background(), pair, 1, func(context.Context) (*ComposeResponse, *catalog.Route, uint64, error) {
 			waiterRan <- struct{}{}
-			return &ComposeResponse{From: "a", To: "b", Key: "k"}, 1, nil
+			return &ComposeResponse{From: "a", To: "b", Key: "k"}, nil, 1, nil
 		})
 		got = ent
 		waiterDone <- err
@@ -180,19 +182,19 @@ func TestWaiterOwnDeadlineWins(t *testing.T) {
 	leaderGo := make(chan struct{})
 	leaderIn := make(chan struct{})
 	go func() {
-		_, _, _ = c.do(context.Background(), pair, 1, func(context.Context) (*ComposeResponse, uint64, error) {
+		_, _, _ = c.do(context.Background(), pair, 1, func(context.Context) (*ComposeResponse, *catalog.Route, uint64, error) {
 			close(leaderIn)
 			<-leaderGo
-			return &ComposeResponse{From: "a", Key: "k"}, 1, nil
+			return &ComposeResponse{From: "a", Key: "k"}, nil, 1, nil
 		})
 	}()
 	<-leaderIn
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, kind, err := c.do(ctx, pair, 1, func(context.Context) (*ComposeResponse, uint64, error) {
+	_, kind, err := c.do(ctx, pair, 1, func(context.Context) (*ComposeResponse, *catalog.Route, uint64, error) {
 		t.Error("waiter with dead context must not compute")
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) || kind != coalesced {
 		t.Fatalf("waiter got (%v, %v), want its own deadline error while coalesced", kind, err)

@@ -9,9 +9,10 @@
 // marshaling anything — a hit is a lock-free shard probe plus a byte
 // copy to the socket — and identical in-flight requests are coalesced
 // to a single computation. Catalog mutations do not wipe the cache: a
-// publish hook diffs the old and new snapshots (catalog.ComputeDelta),
-// drops only the entries whose route actually changed, migrates every
-// other entry in place by bumping its watermark. Every read of the
+// publish hook checks each cached entry's route against the new
+// snapshot (catalog.ComputeDelta, Delta.Invalidated), drops only the
+// entries whose route actually changed, and migrates every other entry
+// in place by bumping its watermark. Every read of the
 // catalog goes through one immutable catalog.Snap: a compose request, a
 // batch, a warm-up sweep and a stats snapshot each see one generation.
 // Everything is stdlib net/http; the server is safe for concurrent use.
@@ -126,7 +127,7 @@ type Server struct {
 	migrations      atomic.Int64 // catalog publishes the cache transitioned across
 	entriesMigrated atomic.Int64 // entries whose watermark was bumped in place
 	entriesDropped  atomic.Int64 // entries a publish invalidated
-	deltaUS         atomic.Int64 // cumulative ComputeDelta time, µs
+	deltaUS         atomic.Int64 // cumulative ComputeDelta (shape diff) time, µs
 
 	// composeHook, when non-nil, runs inside every real composition
 	// before ComposeChain, receiving the composition's context; tests
@@ -508,18 +509,18 @@ func keyString(gen uint64, pair pairKey) string {
 // resultCache).
 func (s *Server) compose(ctx context.Context, snap catalog.Snap, from, to string) (*cacheEntry, hitKind, error) {
 	pair := pairKey{from: from, to: to, cfg: s.cfgFP}
-	run := func(ctx context.Context) (*ComposeResponse, uint64, error) {
+	run := func(ctx context.Context) (*ComposeResponse, *catalog.Route, uint64, error) {
 		if s.composeHook != nil {
 			s.composeHook(ctx)
 		}
 		route, err := snap.Route(from, to)
 		if err != nil {
 			// route.Path is the partial route this snapshot resolved.
-			return nil, 0, &pathError{path: route.Path, err: err}
+			return nil, nil, 0, &pathError{path: route.Path, err: err}
 		}
 		res, err := core.ComposeChain(ctx, route.Mappings(), s.cfg)
 		if err != nil {
-			return nil, 0, &pathError{path: route.Path, err: err}
+			return nil, nil, 0, &pathError{path: route.Path, err: err}
 		}
 		s.composes.Add(1)
 		s.elimAttempts.Add(int64(res.Stats.Attempted))
@@ -543,10 +544,10 @@ func (s *Server) compose(ctx context.Context, snap catalog.Snap, from, to string
 			From: from, To: to, Path: route.Path, Hops: hops,
 			Generation: route.Gen, Key: keyString(route.Gen, pair),
 			Result: NewResultJSON(res),
-		}, snap.Generation(), nil
+		}, route, snap.Generation(), nil
 	}
 	if s.cache == nil {
-		resp, _, err := run(ctx)
+		resp, _, _, err := run(ctx)
 		if err != nil {
 			return nil, computed, err
 		}

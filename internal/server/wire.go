@@ -305,7 +305,8 @@ type CatalogResponse struct {
 // Migrations counts catalog publishes the cache transitioned across,
 // EntriesMigrated/EntriesDropped the cumulative per-publish split of
 // surviving vs delta-invalidated entries, and DeltaComputeUS the
-// cumulative snapshot-diff time in microseconds. CacheBytes is the
+// cumulative snapshot shape-diff time in microseconds (the per-entry
+// route checks count as migration). CacheBytes is the
 // exact byte footprint of the cached pre-encoded bodies (the -cache-bytes
 // budget applies to it).
 type StatsResponse struct {
