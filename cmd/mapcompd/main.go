@@ -154,7 +154,7 @@ func main() {
 	cat := catalog.New()
 
 	// Recovery must complete before any mutation: the store replays the
-	// log through the ordinary registration paths, then starts logging.
+	// log through Catalog.Apply, then starts logging.
 	var store *persist.Store
 	if *dataDir != "" {
 		var err error

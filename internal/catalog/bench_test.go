@@ -22,7 +22,7 @@ func benchCatalog(b *testing.B) *Catalog {
 	schema := func(name, rel string) {
 		sch := algebra.NewSchema()
 		sch.Sig[rel] = 2
-		if _, err := c.RegisterSchema(name, sch); err != nil {
+		if _, err := c.Apply(schemaItem(name, sch)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,11 +32,11 @@ func benchCatalog(b *testing.B) *Catalog {
 	}
 	for i := 0; i < benchChainLen; i++ {
 		cs := parser.MustParseConstraints(fmt.Sprintf("R%d <= R%d", i, i+1))
-		if _, err := c.RegisterMapping(fmt.Sprintf("m%d", i), fmt.Sprintf("s%d", i), fmt.Sprintf("s%d", i+1), cs); err != nil {
+		if _, err := c.Apply(mappingItem(fmt.Sprintf("m%d", i), fmt.Sprintf("s%d", i), fmt.Sprintf("s%d", i+1), cs)); err != nil {
 			b.Fatal(err)
 		}
 		dead := parser.MustParseConstraints(fmt.Sprintf("R%d <= X%d", i, i))
-		if _, err := c.RegisterMapping(fmt.Sprintf("d%d", i), fmt.Sprintf("s%d", i), fmt.Sprintf("dead%d", i), dead); err != nil {
+		if _, err := c.Apply(mappingItem(fmt.Sprintf("d%d", i), fmt.Sprintf("s%d", i), fmt.Sprintf("dead%d", i), dead)); err != nil {
 			b.Fatal(err)
 		}
 	}

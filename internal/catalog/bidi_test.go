@@ -234,7 +234,7 @@ func TestDeltaInvalidatesBothDirections(t *testing.T) {
 	before := c.Snap()
 
 	// Unrelated mutation: every bidirectional route survives.
-	if _, err := c.RegisterSchema("noise", schemaOf(t, "noise")); err != nil {
+	if _, err := c.Apply(schemaItem("noise", schemaOf(t, "noise"))); err != nil {
 		t.Fatal(err)
 	}
 	d := ComputeDelta(before, c.Snap())
@@ -257,10 +257,10 @@ func TestDeltaInvalidatesBothDirections(t *testing.T) {
 		}
 	}
 
-	// Republish only e1 via RegisterMapping: v2↔v3 survives, v1↔v2 dies.
+	// Republish only e1 as a one-item Apply: v2↔v3 survives, v1↔v2 dies.
 	before = c.Snap()
 	e1cs, _ := c.Mapping("e1")
-	if _, err := c.RegisterMapping("e1", "v1", "v2", e1cs.Constraints); err != nil {
+	if _, err := c.Apply(mappingItem("e1", "v1", "v2", e1cs.Constraints)); err != nil {
 		t.Fatal(err)
 	}
 	d = ComputeDelta(before, c.Snap())

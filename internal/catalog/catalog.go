@@ -32,8 +32,7 @@
 // implements it with a checksummed write-ahead log), and Restore
 // installs a recovered snapshot — entries, versions, generations and the
 // generation counter — into a virgin catalog, after which replaying
-// logged mutations through the ordinary registration paths reconstructs
-// the exact pre-crash state.
+// logged mutations through Apply reconstructs the exact pre-crash state.
 //
 // The copy-on-write snapshots also power precise cache invalidation:
 // Snap hands out an immutable snapshot, Snap.Route resolves a pair to
@@ -59,16 +58,12 @@ import (
 	"mapcomp/internal/parser"
 )
 
-// Per-kind mutation timings, covering the whole write-locked section:
+// Mutation timings, covering the whole write-locked section of Apply:
 // validation, the WAL append + fsync (via logMutation), the
 // copy-on-write rebuild and publish (delta computation included, since
 // PublishHook runs inside the lock). Rejected attempts are recorded
 // too — they hold the same lock and stall the same writers.
-var mutationSeconds = map[MutationKind]*obs.Histogram{
-	MutSchema:  obs.Hist("mapcomp_catalog_mutation_seconds", `kind="schema"`),
-	MutMapping: obs.Hist("mapcomp_catalog_mutation_seconds", `kind="mapping"`),
-	MutApply:   obs.Hist("mapcomp_catalog_mutation_seconds", `kind="apply"`),
-}
+var mutationSeconds = obs.Hist("mapcomp_catalog_mutation_seconds", `kind="apply"`)
 
 // Sentinel errors for composition-request resolution, so callers (the
 // HTTP layer) can classify failures without matching message text.
@@ -105,37 +100,14 @@ type MappingEntry struct {
 	Constraints algebra.ConstraintSet
 }
 
-// MutationKind discriminates catalog mutations for durability logging.
-type MutationKind string
-
-// The three mutation kinds: single schema registration, single mapping
-// registration, and atomic batch apply of a parsed task file.
-const (
-	MutSchema  MutationKind = "schema"
-	MutMapping MutationKind = "mapping"
-	MutApply   MutationKind = "apply"
-)
-
-// Mutation describes one catalog mutation at the moment it commits.
-// Exactly one payload field is set, matching Kind. Gen is the generation
-// the mutation installs (current generation + 1); because every logged
-// mutation bumps the generation by exactly one, Gen doubles as the
-// mutation's sequence number in a durability log.
+// Mutation describes one Apply at the moment it commits. Gen is the
+// generation the mutation installs (current generation + 1); because
+// every logged mutation bumps the generation by exactly one, Gen doubles
+// as the mutation's sequence number in a durability log.
 type Mutation struct {
-	Gen  uint64
-	Kind MutationKind
-
-	// Name is the schema or mapping name (MutSchema, MutMapping).
-	Name string
-	// From and To are the mapping endpoints (MutMapping).
-	From, To string
-
-	// Schema is the MutSchema payload (already cloned, caller-owned).
-	Schema *algebra.Schema
-	// Constraints is the MutMapping payload (already cloned).
-	Constraints algebra.ConstraintSet
-	// Problem is the MutApply payload. It is the caller's parsed task
-	// file; the logger must encode it before returning.
+	Gen uint64
+	// Problem is the caller's parsed task file; the logger must encode
+	// it before returning.
 	Problem *parser.Problem
 }
 
@@ -236,12 +208,12 @@ func (e *edge) prov() Provenance {
 // are immutable and pointer-shared across views, so any mapping whose
 // entry and endpoint schema entries are unchanged reuses prev's
 // materialized algebra.Mapping and inversion instead of recomputing
-// them — without this, registering N mappings one at a time (which is
-// exactly what WAL replay does on boot) would cost O(N²) constraint
-// clones. Derived-inverse edges are recomputed here, deterministically,
-// on every snapshot build — never logged or persisted — so existing
-// data directories load unchanged and replay reconstructs the same
-// bidirectional graph.
+// them — without this, installing N mappings one Apply at a time (as
+// WAL replay of N registrations does on boot) would cost O(N²)
+// constraint clones. Derived-inverse edges are recomputed here,
+// deterministically, on every snapshot build — never logged or
+// persisted — so existing data directories load unchanged and replay
+// reconstructs the same bidirectional graph.
 func (v *view) freeze(prev *view) *view {
 	v.schemaList = make([]*SchemaEntry, 0, len(v.schemas))
 	for _, e := range v.schemas {
@@ -361,48 +333,14 @@ func (c *Catalog) logMutation(m *Mutation) error {
 		return nil
 	}
 	if err := c.logger.AppendMutation(m); err != nil {
-		return fmt.Errorf("catalog: %w %d (%s): %v", ErrPersist, m.Gen, m.Kind, err)
+		return fmt.Errorf("catalog: %w %d: %v", ErrPersist, m.Gen, err)
 	}
 	return nil
 }
 
-// RegisterSchema installs or updates a named schema. Updating a schema
-// that registered mappings reference re-validates those mappings against
-// the new signature and rejects the update if any would become
-// ill-formed, so the catalog never holds a mapping whose constraints do
-// not type-check over its endpoints.
-func (c *Catalog) RegisterSchema(name string, sch *algebra.Schema) (*SchemaEntry, error) {
-	if name == "" {
-		return nil, fmt.Errorf("catalog: schema name must be non-empty")
-	}
-	if sch == nil || len(sch.Sig) == 0 {
-		return nil, fmt.Errorf("catalog: schema %s has no relations", name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer func(start time.Time) { mutationSeconds[MutSchema].Observe(time.Since(start)) }(time.Now())
-	cur := c.snap.Load()
-	entry := &SchemaEntry{Name: name, Version: 1, Schema: sch.Clone()}
-	if old, ok := cur.schemas[name]; ok {
-		entry.Version = old.Version + 1
-		if err := recheckMappings(cur, map[string]*algebra.Schema{name: entry.Schema}, nil); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.logMutation(&Mutation{Gen: cur.gen + 1, Kind: MutSchema, Name: name, Schema: entry.Schema}); err != nil {
-		return nil, err
-	}
-	next := cur.mutate()
-	next.gen++
-	entry.Generation = next.gen
-	next.schemas[name] = entry
-	c.published(cur, next.freeze(cur))
-	return entry, nil
-}
-
 // checkMapping validates a mapping's constraints over the union of its
-// endpoint signatures; every registration path funnels through it so the
-// single, batch and schema-update paths cannot drift apart.
+// endpoint signatures; Apply (for incoming mappings and for registered
+// ones on an updated schema) and Restore both funnel through it.
 func checkMapping(name string, from, to *algebra.Schema, cs algebra.ConstraintSet) error {
 	sig, err := from.Sig.Merge(to.Sig)
 	if err != nil {
@@ -416,7 +354,7 @@ func checkMapping(name string, from, to *algebra.Schema, cs algebra.ConstraintSe
 
 // recheckMappings validates every registered mapping with an endpoint
 // in updated against the proposed signatures, skipping the mappings
-// named in replaced (a batch validates those as incoming). A mapping
+// named in replaced (Apply validates those as incoming). A mapping
 // touching no updated schema keeps exactly the schema entries it was
 // validated against, so it is not checked again.
 func recheckMappings(v *view, updated map[string]*algebra.Schema, replaced map[string]*parser.MapDecl) error {
@@ -446,55 +384,15 @@ func recheckMappings(v *view, updated map[string]*algebra.Schema, replaced map[s
 	return nil
 }
 
-// RegisterMapping installs or updates a named mapping from schema from
-// to schema to. Both schemas must already be registered and the
-// constraints must be well-formed over the union of their signatures.
-func (c *Catalog) RegisterMapping(name, from, to string, cs algebra.ConstraintSet) (*MappingEntry, error) {
-	if name == "" {
-		return nil, fmt.Errorf("catalog: mapping name must be non-empty")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer func(start time.Time) { mutationSeconds[MutMapping].Observe(time.Since(start)) }(time.Now())
-	cur := c.snap.Load()
-	fs, ok := cur.schemas[from]
-	if !ok {
-		return nil, fmt.Errorf("catalog: mapping %s references unknown schema %s", name, from)
-	}
-	ts, ok := cur.schemas[to]
-	if !ok {
-		return nil, fmt.Errorf("catalog: mapping %s references unknown schema %s", name, to)
-	}
-	if err := checkMapping(name, fs.Schema, ts.Schema, cs); err != nil {
-		return nil, err
-	}
-	entry := &MappingEntry{Name: name, From: from, To: to, Version: 1, Constraints: cs.Clone()}
-	if old, ok := cur.maps[name]; ok {
-		entry.Version = old.Version + 1
-	}
-	if err := c.logMutation(&Mutation{
-		Gen: cur.gen + 1, Kind: MutMapping,
-		Name: name, From: from, To: to, Constraints: entry.Constraints,
-	}); err != nil {
-		return nil, err
-	}
-	next := cur.mutate()
-	next.gen++
-	entry.Generation = next.gen
-	next.maps[name] = entry
-	c.published(cur, next.freeze(cur))
-	return entry, nil
-}
-
 // Apply registers every schema and mapping of a parsed problem as one
-// atomic mutation: either everything validates and installs under a
-// single generation bump, or nothing changes. Compose declarations in
-// the problem are ignored — the service composes on demand. Returns the
-// new generation.
+// atomic mutation, the catalog's only write path apart from Restore:
+// either everything validates and installs under a single generation
+// bump, or nothing changes. Compose declarations in the problem are
+// ignored — the service composes on demand. Returns the new generation.
 func (c *Catalog) Apply(p *parser.Problem) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer func(start time.Time) { mutationSeconds[MutApply].Observe(time.Since(start)) }(time.Now())
+	defer func(start time.Time) { mutationSeconds.Observe(time.Since(start)) }(time.Now())
 	cur := c.snap.Load()
 	if len(p.SchemaOrder) == 0 && len(p.MapOrder) == 0 {
 		// Nothing to install: don't burn a generation (and with it every
@@ -507,8 +405,11 @@ func (c *Catalog) Apply(p *parser.Problem) (uint64, error) {
 	// updated signatures.
 	updated := make(map[string]*algebra.Schema, len(p.SchemaOrder))
 	for _, name := range p.SchemaOrder {
+		if name == "" {
+			return cur.gen, fmt.Errorf("catalog: schema name must be non-empty")
+		}
 		sch := p.Schemas[name]
-		if len(sch.Sig) == 0 {
+		if sch == nil || len(sch.Sig) == 0 {
 			return cur.gen, fmt.Errorf("catalog: schema %s has no relations", name)
 		}
 		updated[name] = sch
@@ -531,6 +432,9 @@ func (c *Catalog) Apply(p *parser.Problem) (uint64, error) {
 	}
 	for _, name := range p.MapOrder {
 		d := p.Maps[name]
+		if name == "" || d == nil {
+			return cur.gen, fmt.Errorf("catalog: mapping %q is unnamed or has no declaration", name)
+		}
 		from, ok := staged(d.From)
 		if !ok {
 			return cur.gen, fmt.Errorf("catalog: mapping %s references unknown schema %s", name, d.From)
@@ -546,7 +450,7 @@ func (c *Catalog) Apply(p *parser.Problem) (uint64, error) {
 
 	// Commit under one generation bump, logged as one record so the
 	// batch stays atomic across a crash.
-	if err := c.logMutation(&Mutation{Gen: cur.gen + 1, Kind: MutApply, Problem: p}); err != nil {
+	if err := c.logMutation(&Mutation{Gen: cur.gen + 1, Problem: p}); err != nil {
 		return cur.gen, err
 	}
 	next := cur.mutate()
@@ -772,12 +676,11 @@ func (v *view) reverseReachable(src, dst int) (bool, []string) {
 // Restore installs a recovered state wholesale: schema and mapping
 // entries with their original versions and generations, plus the
 // generation counter. It is the snapshot-loading half of crash
-// recovery (log replay then re-runs the normal mutation paths). It
-// only operates on a virgin catalog — generation 0, no entries, no
-// logger — and re-validates every mapping against the restored
-// schemas, so a tampered or inconsistent snapshot fails loudly instead
-// of installing a catalog the registration paths could never have
-// built.
+// recovery (log replay then re-runs Apply). It only operates on a
+// virgin catalog — generation 0, no entries, no logger — and
+// re-validates every mapping against the restored schemas, so a
+// tampered or inconsistent snapshot fails loudly instead of installing
+// a catalog Apply could never have built.
 func (c *Catalog) Restore(schemas []*SchemaEntry, maps []*MappingEntry, gen uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -63,6 +63,17 @@ func compose(ctx context.Context, s Snap, from, to string) (*core.Result, *Route
 	return res, r, err
 }
 
+// schemaItem and mappingItem build one-item problems: applying one
+// installs or updates a single schema or mapping.
+func schemaItem(name string, sch *algebra.Schema) *parser.Problem {
+	return &parser.Problem{Schemas: map[string]*algebra.Schema{name: sch}, SchemaOrder: []string{name}}
+}
+
+func mappingItem(name, from, to string, cs algebra.ConstraintSet) *parser.Problem {
+	d := &parser.MapDecl{Name: name, From: from, To: to, Constraints: cs}
+	return &parser.Problem{Maps: map[string]*parser.MapDecl{name: d}, MapOrder: []string{name}}
+}
+
 func loadedCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	c := New()
@@ -79,20 +90,20 @@ func TestRegisterVersionsAndGeneration(t *testing.T) {
 	}
 	sch := algebra.NewSchema()
 	sch.Sig["R"] = 2
-	e1, err := c.RegisterSchema("s1", sch)
-	if err != nil {
+	if _, err := c.Apply(schemaItem("s1", sch)); err != nil {
 		t.Fatal(err)
 	}
+	e1, _ := c.Schema("s1")
 	if e1.Version != 1 || e1.Generation != 1 {
 		t.Fatalf("first revision = v%d g%d, want v1 g1", e1.Version, e1.Generation)
 	}
 	sch2 := algebra.NewSchema()
 	sch2.Sig["R"] = 2
 	sch2.Sig["S"] = 1
-	e2, err := c.RegisterSchema("s1", sch2)
-	if err != nil {
+	if _, err := c.Apply(schemaItem("s1", sch2)); err != nil {
 		t.Fatal(err)
 	}
+	e2, _ := c.Schema("s1")
 	if e2.Version != 2 || e2.Generation != 2 {
 		t.Fatalf("second revision = v%d g%d, want v2 g2", e2.Version, e2.Generation)
 	}
@@ -109,15 +120,15 @@ func TestRegisterVersionsAndGeneration(t *testing.T) {
 	}
 }
 
-func TestRegisterMappingValidates(t *testing.T) {
+func TestMappingRegistrationValidates(t *testing.T) {
 	c := loadedCatalog(t)
 	cs := parser.MustParseConstraints("Movies <= OldMovies;")
-	if _, err := c.RegisterMapping("bad", "original", "nowhere", cs); err == nil {
+	if _, err := c.Apply(mappingItem("bad", "original", "nowhere", cs)); err == nil {
 		t.Fatal("mapping to unknown schema accepted")
 	}
 	// Arity mismatch: Movies/6 vs Names/2.
 	bad := parser.MustParseConstraints("Movies <= Names;")
-	if _, err := c.RegisterMapping("bad", "original", "split", bad); err == nil {
+	if _, err := c.Apply(mappingItem("bad", "original", "split", bad)); err == nil {
 		t.Fatal("ill-formed mapping accepted")
 	}
 	if _, ok := c.Mapping("bad"); ok {
@@ -131,7 +142,7 @@ func TestSchemaUpdateRejectedWhenItBreaksMappings(t *testing.T) {
 	// Shrink fivestar's arity: m12 and m23 would no longer type-check.
 	sch := algebra.NewSchema()
 	sch.Sig["FiveStarMovies"] = 2
-	if _, err := c.RegisterSchema("fivestar", sch); err == nil {
+	if _, err := c.Apply(schemaItem("fivestar", sch)); err == nil {
 		t.Fatal("schema update that breaks mappings accepted")
 	}
 	if c.Generation() != gen {
@@ -160,6 +171,44 @@ schema fivestar { FiveStarMovies/2; }
 	}
 	if _, ok := c.Schema("extra"); ok {
 		t.Fatal("failed Apply installed a schema")
+	}
+}
+
+// TestApplyRejectsMalformedProblems: hand-built problems that the
+// parser could never produce are rejected before anything is logged or
+// installed, instead of panicking inside the write lock or installing a
+// nameless entry.
+func TestApplyRejectsMalformedProblems(t *testing.T) {
+	rel := algebra.NewSchema()
+	rel.Sig["R"] = 2
+	cs := parser.MustParseConstraints("Movies <= OldMovies;")
+	for _, tc := range []struct {
+		name string
+		p    *parser.Problem
+	}{
+		{"nil schema", &parser.Problem{Schemas: map[string]*algebra.Schema{"a": nil}, SchemaOrder: []string{"a"}}},
+		{"schema order name without entry", &parser.Problem{SchemaOrder: []string{"ghost"}}},
+		{"schema without relations", schemaItem("empty", algebra.NewSchema())},
+		{"empty schema name", schemaItem("", rel)},
+		{"nil mapping", &parser.Problem{Maps: map[string]*parser.MapDecl{"m": nil}, MapOrder: []string{"m"}}},
+		{"map order name without entry", &parser.Problem{MapOrder: []string{"ghost"}}},
+		{"empty mapping name", mappingItem("", "original", "archive", cs)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := loadedCatalog(t)
+			lg := &recordingLogger{}
+			c.SetLogger(lg)
+			gen := c.Generation()
+			if _, err := c.Apply(tc.p); err == nil {
+				t.Fatal("malformed problem accepted")
+			}
+			if g := c.Generation(); g != gen {
+				t.Fatalf("rejected problem moved the generation %d → %d", gen, g)
+			}
+			if len(lg.muts) != 0 {
+				t.Fatal("rejected problem was logged")
+			}
+		})
 	}
 }
 
@@ -198,7 +247,7 @@ func TestPathResolution(t *testing.T) {
 	// A registered shortcut wins over the two-hop chain.
 	short := parser.MustParseConstraints(
 		"proj[1,2,3](sel[#4='5'](Movies)) <= proj[1,2,4](sel[#1=#3](Names * Years));")
-	if _, err := c.RegisterMapping("mShort", "original", "split", short); err != nil {
+	if _, err := c.Apply(mappingItem("mShort", "original", "split", short)); err != nil {
 		t.Fatal(err)
 	}
 	path, err = routePath(c, "original", "split")
@@ -263,12 +312,12 @@ func TestConcurrentRegisterAndCompose(t *testing.T) {
 				sch := algebra.NewSchema()
 				sch.Sig[fmt.Sprintf("Aux%d", w)] = 2
 				name := fmt.Sprintf("aux%d", w)
-				if _, err := c.RegisterSchema(name, sch); err != nil {
+				if _, err := c.Apply(schemaItem(name, sch)); err != nil {
 					t.Error(err)
 					return
 				}
 				cs := parser.MustParseConstraints(fmt.Sprintf("proj[1,2](Movies) <= Aux%d;", w))
-				if _, err := c.RegisterMapping(fmt.Sprintf("mAux%d", w), "original", name, cs); err != nil {
+				if _, err := c.Apply(mappingItem(fmt.Sprintf("mAux%d", w), "original", name, cs)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -305,9 +354,10 @@ func (l *recordingLogger) AppendMutation(m *Mutation) error {
 	return nil
 }
 
-// TestLoggerSeesMutationsAndAbortsOnError: every mutation kind reaches
-// the logger with the generation it installs, before it is visible; a
-// logger error rejects the mutation and leaves the catalog untouched.
+// TestLoggerSeesMutationsAndAbortsOnError: every mutation reaches the
+// logger with the generation it installs and the problem it applies,
+// before it is visible; a logger error rejects the mutation and leaves
+// the catalog untouched.
 func TestLoggerSeesMutationsAndAbortsOnError(t *testing.T) {
 	c := New()
 	lg := &recordingLogger{}
@@ -315,27 +365,27 @@ func TestLoggerSeesMutationsAndAbortsOnError(t *testing.T) {
 
 	sch := algebra.NewSchema()
 	sch.Sig["R"] = 2
-	if _, err := c.RegisterSchema("src", sch); err != nil {
+	if _, err := c.Apply(schemaItem("src", sch)); err != nil {
 		t.Fatal(err)
 	}
 	sch2 := algebra.NewSchema()
 	sch2.Sig["T"] = 2
-	if _, err := c.RegisterSchema("dst", sch2); err != nil {
+	if _, err := c.Apply(schemaItem("dst", sch2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RegisterMapping("m", "src", "dst", parser.MustParseConstraints("R <= T")); err != nil {
+	if _, err := c.Apply(mappingItem("m", "src", "dst", parser.MustParseConstraints("R <= T"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Apply(mustParse(t, chainTask)); err != nil {
 		t.Fatal(err)
 	}
-	kinds := []MutationKind{MutSchema, MutSchema, MutMapping, MutApply}
-	if len(lg.muts) != len(kinds) {
-		t.Fatalf("logger saw %d mutations, want %d", len(lg.muts), len(kinds))
+	const logged = 4
+	if len(lg.muts) != logged {
+		t.Fatalf("logger saw %d mutations, want %d", len(lg.muts), logged)
 	}
 	for i, m := range lg.muts {
-		if m.Kind != kinds[i] || m.Gen != uint64(i+1) {
-			t.Fatalf("mutation %d = (%s, gen %d), want (%s, gen %d)", i, m.Kind, m.Gen, kinds[i], i+1)
+		if m.Gen != uint64(i+1) || m.Problem == nil {
+			t.Fatalf("mutation %d = (gen %d, problem %v), want gen %d with its problem", i, m.Gen, m.Problem, i+1)
 		}
 	}
 
@@ -344,13 +394,13 @@ func TestLoggerSeesMutationsAndAbortsOnError(t *testing.T) {
 	if _, err := c.Apply(&parser.Problem{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(lg.muts) != len(kinds) {
+	if len(lg.muts) != logged {
 		t.Fatal("no-op Apply was logged")
 	}
 
 	lg.fail = true
 	gen := c.Generation()
-	if _, err := c.RegisterSchema("nope", sch); err == nil {
+	if _, err := c.Apply(schemaItem("nope", sch)); err == nil {
 		t.Fatal("mutation committed although the logger failed")
 	}
 	if _, ok := c.Schema("nope"); ok {
@@ -382,7 +432,7 @@ func TestRestoreValidates(t *testing.T) {
 	}
 
 	c := New()
-	if _, err := c.RegisterSchema("x", src); err != nil {
+	if _, err := c.Apply(schemaItem("x", src)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Restore(entries, nil, 1); err == nil {
@@ -408,7 +458,7 @@ func TestPathPartialRouteOnNoPath(t *testing.T) {
 	c := loadedCatalog(t)
 	sch := algebra.NewSchema()
 	sch.Sig["Lonely"] = 1
-	if _, err := c.RegisterSchema("island", sch); err != nil {
+	if _, err := c.Apply(schemaItem("island", sch)); err != nil {
 		t.Fatal(err)
 	}
 	partial, err := routePath(c, "original", "island")
@@ -472,12 +522,12 @@ func TestLockFreeReadsGenerationMonotonic(t *testing.T) {
 				sch := algebra.NewSchema()
 				sch.Sig[fmt.Sprintf("Aux%d", w)] = 2
 				name := fmt.Sprintf("aux%d", w)
-				if _, err := c.RegisterSchema(name, sch); err != nil {
+				if _, err := c.Apply(schemaItem(name, sch)); err != nil {
 					t.Error(err)
 					return
 				}
 				cs := parser.MustParseConstraints(fmt.Sprintf("proj[1,2](Movies) <= Aux%d;", w))
-				if _, err := c.RegisterMapping(fmt.Sprintf("mAux%d", w), "original", name, cs); err != nil {
+				if _, err := c.Apply(mappingItem(fmt.Sprintf("mAux%d", w), "original", name, cs)); err != nil {
 					t.Error(err)
 					return
 				}

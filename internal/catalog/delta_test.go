@@ -19,13 +19,13 @@ func deltaCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	c := New()
 	for _, name := range []string{"a", "b", "c", "x", "y"} {
-		if _, err := c.RegisterSchema(name, schemaOf(t, name)); err != nil {
+		if _, err := c.Apply(schemaItem(name, schemaOf(t, name))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	register := func(name, from, to string) {
 		t.Helper()
-		if _, err := c.RegisterMapping(name, from, to, constraintOf(t, from, to)); err != nil {
+		if _, err := c.Apply(mappingItem(name, from, to, constraintOf(t, from, to))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func assertGained(t *testing.T, old, new Snap, ps [][2]string) {
 func TestDeltaUnrelatedMutationIsEmpty(t *testing.T) {
 	c := deltaCatalog(t)
 	before := c.Snap()
-	if _, err := c.RegisterSchema("island", schemaOf(t, "island")); err != nil {
+	if _, err := c.Apply(schemaItem("island", schemaOf(t, "island"))); err != nil {
 		t.Fatal(err)
 	}
 	d := ComputeDelta(before, c.Snap())
@@ -135,7 +135,7 @@ func TestDeltaUnrelatedMutationIsEmpty(t *testing.T) {
 func TestDeltaMappingUpdateInvalidatesRoutesThroughIt(t *testing.T) {
 	c := deltaCatalog(t)
 	before := c.Snap()
-	if _, err := c.RegisterMapping("m_ab", "a", "b", constraintOf(t, "a", "b")); err != nil {
+	if _, err := c.Apply(mappingItem("m_ab", "a", "b", constraintOf(t, "a", "b"))); err != nil {
 		t.Fatal(err)
 	}
 	d := ComputeDelta(before, c.Snap())
@@ -154,7 +154,7 @@ func TestDeltaMappingUpdateInvalidatesRoutesThroughIt(t *testing.T) {
 func TestDeltaSchemaUpdateInvalidatesTouchingRoutes(t *testing.T) {
 	c := deltaCatalog(t)
 	before := c.Snap()
-	if _, err := c.RegisterSchema("b", schemaOf(t, "b")); err != nil {
+	if _, err := c.Apply(schemaItem("b", schemaOf(t, "b"))); err != nil {
 		t.Fatal(err)
 	}
 	d := ComputeDelta(before, c.Snap())
@@ -170,7 +170,7 @@ func TestDeltaSchemaUpdateInvalidatesTouchingRoutes(t *testing.T) {
 func TestDeltaNewEdgeGainsAndReroutes(t *testing.T) {
 	c := deltaCatalog(t)
 	before := c.Snap()
-	if _, err := c.RegisterMapping("m_cx", "c", "x", constraintOf(t, "c", "x")); err != nil {
+	if _, err := c.Apply(mappingItem("m_cx", "c", "x", constraintOf(t, "c", "x"))); err != nil {
 		t.Fatal(err)
 	}
 	d := ComputeDelta(before, c.Snap())
@@ -189,7 +189,7 @@ func TestDeltaNewEdgeGainsAndReroutes(t *testing.T) {
 	// Now shortcut a→c directly: the a→c route changes from the chain
 	// to the direct edge; nothing else reachable from a via b changes.
 	before = c.Snap()
-	if _, err := c.RegisterMapping("m_ac", "a", "c", constraintOf(t, "a", "c")); err != nil {
+	if _, err := c.Apply(mappingItem("m_ac", "a", "c", constraintOf(t, "a", "c"))); err != nil {
 		t.Fatal(err)
 	}
 	d = ComputeDelta(before, c.Snap())
@@ -208,11 +208,11 @@ func TestDeltaAgreesWithRouteComparison(t *testing.T) {
 	c := deltaCatalog(t)
 	names := []string{"a", "b", "c", "x", "y"}
 	mutations := []func(){
-		func() { c.RegisterSchema("z", schemaOf(t, "z")) },
-		func() { c.RegisterMapping("m_xy", "x", "y", constraintOf(t, "x", "y")) },
-		func() { c.RegisterMapping("m_yz", "y", "z", constraintOf(t, "y", "z")) },
-		func() { c.RegisterSchema("c", schemaOf(t, "c")) },
-		func() { c.RegisterMapping("m_ac", "a", "c", constraintOf(t, "a", "c")) },
+		func() { c.Apply(schemaItem("z", schemaOf(t, "z"))) },
+		func() { c.Apply(mappingItem("m_xy", "x", "y", constraintOf(t, "x", "y"))) },
+		func() { c.Apply(mappingItem("m_yz", "y", "z", constraintOf(t, "y", "z"))) },
+		func() { c.Apply(schemaItem("c", schemaOf(t, "c"))) },
+		func() { c.Apply(mappingItem("m_ac", "a", "c", constraintOf(t, "a", "c"))) },
 	}
 	for step, mutate := range mutations {
 		before := c.Snap()
@@ -280,7 +280,7 @@ func TestDeltaMatchesAllPairsOracle(t *testing.T) {
 		ends := map[string][2]string{}
 		newSchema := func() {
 			name := fmt.Sprintf("s%d", len(names))
-			if _, err := c.RegisterSchema(name, schemaOf(t, name)); err != nil {
+			if _, err := c.Apply(schemaItem(name, schemaOf(t, name))); err != nil {
 				t.Fatal(err)
 			}
 			names = append(names, name)
@@ -294,7 +294,7 @@ func TestDeltaMatchesAllPairsOracle(t *testing.T) {
 			return from, to
 		}
 		registerMapping := func(name, from, to string) {
-			if _, err := c.RegisterMapping(name, from, to, mappingOf(t, from, to, rng.Intn(2) == 0)); err != nil {
+			if _, err := c.Apply(mappingItem(name, from, to, mappingOf(t, from, to, rng.Intn(2) == 0))); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := ends[name]; !ok {
@@ -339,7 +339,7 @@ func TestDeltaMatchesAllPairsOracle(t *testing.T) {
 				}
 			default:
 				s := names[rng.Intn(len(names))]
-				if _, err := c.RegisterSchema(s, schemaOf(t, s)); err != nil {
+				if _, err := c.Apply(schemaItem(s, schemaOf(t, s))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -390,17 +390,17 @@ func TestPublishHookOrderedPerMutation(t *testing.T) {
 	c.SetPublishHook(func(old, new Snap) {
 		gens = append(gens, [2]uint64{old.Generation(), new.Generation()})
 	})
-	if _, err := c.RegisterSchema("a", schemaOf(t, "a")); err != nil {
+	if _, err := c.Apply(schemaItem("a", schemaOf(t, "a"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RegisterSchema("b", schemaOf(t, "b")); err != nil {
+	if _, err := c.Apply(schemaItem("b", schemaOf(t, "b"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RegisterMapping("m", "a", "b", constraintOf(t, "a", "b")); err != nil {
+	if _, err := c.Apply(mappingItem("m", "a", "b", constraintOf(t, "a", "b"))); err != nil {
 		t.Fatal(err)
 	}
 	// A rejected mutation publishes nothing.
-	if _, err := c.RegisterMapping("bad", "a", "nowhere", nil); err == nil {
+	if _, err := c.Apply(mappingItem("bad", "a", "nowhere", nil)); err == nil {
 		t.Fatal("expected rejection")
 	}
 	want := [][2]uint64{{0, 1}, {1, 2}, {2, 3}}
@@ -422,7 +422,7 @@ func TestRouteGenStableAcrossUnrelatedMutations(t *testing.T) {
 	}
 	gen := r.Gen
 	for i := 0; i < 3; i++ {
-		if _, err := c.RegisterSchema("noise", schemaOf(t, "noise")); err != nil {
+		if _, err := c.Apply(schemaItem("noise", schemaOf(t, "noise"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,7 +434,7 @@ func TestRouteGenStableAcrossUnrelatedMutations(t *testing.T) {
 		t.Fatalf("routeGen moved %d→%d across unrelated mutations", gen, r2.Gen)
 	}
 	// Touching an edge on the route moves it to the mutation's gen.
-	if _, err := c.RegisterMapping("m_bc", "b", "c", constraintOf(t, "b", "c")); err != nil {
+	if _, err := c.Apply(mappingItem("m_bc", "b", "c", constraintOf(t, "b", "c"))); err != nil {
 		t.Fatal(err)
 	}
 	r3, err := c.Snap().Route("a", "c")

@@ -1,7 +1,10 @@
 package persist
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -49,6 +52,34 @@ func schema(t *testing.T, arity int, rel string, key ...int) *algebra.Schema {
 	return sch
 }
 
+// schemaItem builds the one-item problem that installs or updates
+// schema name.
+func schemaItem(name string, sch *algebra.Schema) *parser.Problem {
+	return &parser.Problem{Schemas: map[string]*algebra.Schema{name: sch}, SchemaOrder: []string{name}}
+}
+
+// mappingItem builds the problem that installs or updates mapping name.
+// Replay re-parses a logged problem, and the parser requires a map's
+// endpoint schemas to be declared with it, so the problem re-declares
+// both at their current signatures.
+func mappingItem(t *testing.T, cat *catalog.Catalog, name, from, to string, cs algebra.ConstraintSet) *parser.Problem {
+	t.Helper()
+	p := &parser.Problem{
+		Schemas:     map[string]*algebra.Schema{},
+		SchemaOrder: []string{from, to},
+		Maps:        map[string]*parser.MapDecl{name: {Name: name, From: from, To: to, Constraints: cs}},
+		MapOrder:    []string{name},
+	}
+	for _, s := range p.SchemaOrder {
+		e, ok := cat.Schema(s)
+		if !ok {
+			t.Fatalf("mapping %s: schema %s is not registered", name, s)
+		}
+		p.Schemas[s] = e.Schema
+	}
+	return p
+}
+
 // openStore opens dir and recovers into a fresh catalog with logging
 // attached — the full boot sequence of cmd/mapcompd.
 func openStore(t *testing.T, dir string, opts Options) (*Store, *catalog.Catalog) {
@@ -66,29 +97,29 @@ func openStore(t *testing.T, dir string, opts Options) (*Store, *catalog.Catalog
 	return s, cat
 }
 
-// populate drives every mutation kind through the catalog: schema
-// registration (with keys), schema update, mapping registration and
-// update, and a batch apply.
+// populate drives six mutations through the catalog: schema
+// registration (with keys), mapping registration and update, schema
+// update, and a multi-artifact batch.
 func populate(t *testing.T, cat *catalog.Catalog) {
 	t.Helper()
-	if _, err := cat.RegisterSchema("src", schema(t, 2, "R", 1)); err != nil {
+	if _, err := cat.Apply(schemaItem("src", schema(t, 2, "R", 1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.RegisterSchema("dst", schema(t, 2, "T")); err != nil {
+	if _, err := cat.Apply(schemaItem("dst", schema(t, 2, "T"))); err != nil {
 		t.Fatal(err)
 	}
 	cs := parser.MustParseConstraints("R <= T")
-	if _, err := cat.RegisterMapping("m", "src", "dst", cs); err != nil {
+	if _, err := cat.Apply(mappingItem(t, cat, "m", "src", "dst", cs)); err != nil {
 		t.Fatal(err)
 	}
-	// Update the mapping (version 2) and a schema (version 2).
+	// Update the mapping (version 2), then widen src, which re-validates m.
 	cs2 := parser.MustParseConstraints("R <= T; proj[1](R) <= proj[2](T)")
-	if _, err := cat.RegisterMapping("m", "src", "dst", cs2); err != nil {
+	if _, err := cat.Apply(mappingItem(t, cat, "m", "src", "dst", cs2)); err != nil {
 		t.Fatal(err)
 	}
 	wider := schema(t, 2, "R", 1)
 	wider.Sig["Extra"] = 3
-	if _, err := cat.RegisterSchema("src", wider); err != nil {
+	if _, err := cat.Apply(schemaItem("src", wider)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cat.Apply(mustParse(t, movieTask)); err != nil {
@@ -150,7 +181,7 @@ func TestRecoverFromWALOnly(t *testing.T) {
 	if _, err := core.ComposeChain(context.Background(), route.Mappings(), core.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recovered.RegisterSchema("extra", schema(t, 1, "X")); err != nil {
+	if _, err := recovered.Apply(schemaItem("extra", schema(t, 1, "X"))); err != nil {
 		t.Fatal(err)
 	}
 	if g := recovered.Generation(); g != want.Gen+1 {
@@ -164,7 +195,7 @@ func TestRecoverFromWALOnly(t *testing.T) {
 func TestRecoverSnapshotPlusWAL(t *testing.T) {
 	dir := t.TempDir()
 	store, cat := openStore(t, dir, Options{SnapshotEvery: -1})
-	if _, err := cat.RegisterSchema("src", schema(t, 2, "R", 1)); err != nil {
+	if _, err := cat.Apply(schemaItem("src", schema(t, 2, "R", 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Snapshot(cat); err != nil {
@@ -206,7 +237,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 		t.Fatalf("replayed %d records, want pure snapshot recovery", st.Recovery.Replayed)
 	}
 	// And the store keeps accepting mutations after the compacted boot.
-	if _, err := recovered.RegisterSchema("extra", schema(t, 1, "X")); err != nil {
+	if _, err := recovered.Apply(schemaItem("extra", schema(t, 1, "X"))); err != nil {
 		t.Fatal(err)
 	}
 	if g := recovered.Generation(); g != want.Gen+1 {
@@ -221,11 +252,11 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 	for _, cut := range []int{1, 7, 15} { // inside length, inside checksums, inside payload
 		dir := t.TempDir()
 		store, cat := openStore(t, dir, Options{SnapshotEvery: -1})
-		if _, err := cat.RegisterSchema("src", schema(t, 2, "R", 1)); err != nil {
+		if _, err := cat.Apply(schemaItem("src", schema(t, 2, "R", 1))); err != nil {
 			t.Fatal(err)
 		}
 		want := stateOf(cat)
-		if _, err := cat.RegisterSchema("dst", schema(t, 2, "T")); err != nil {
+		if _, err := cat.Apply(schemaItem("dst", schema(t, 2, "T"))); err != nil {
 			t.Fatal(err)
 		}
 		store.Close()
@@ -257,7 +288,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 			t.Fatalf("cut=%d: WAL not truncated to %d: %v %v", cut, firstLen, info, err)
 		}
 		// The next mutation appends cleanly on the frame boundary.
-		if _, err := recovered.RegisterSchema("dst", schema(t, 2, "T")); err != nil {
+		if _, err := recovered.Apply(schemaItem("dst", schema(t, 2, "T"))); err != nil {
 			t.Fatal(err)
 		}
 		store2.Close()
@@ -325,7 +356,7 @@ func TestCorruptLengthFieldFailsLoudly(t *testing.T) {
 func TestApplyAtomicAcrossCrash(t *testing.T) {
 	dir := t.TempDir()
 	store, cat := openStore(t, dir, Options{SnapshotEvery: -1})
-	if _, err := cat.RegisterSchema("solo", schema(t, 1, "S")); err != nil {
+	if _, err := cat.Apply(schemaItem("solo", schema(t, 1, "S"))); err != nil {
 		t.Fatal(err)
 	}
 	want := stateOf(cat)
@@ -397,7 +428,7 @@ func TestGenerationGapFailsLoudly(t *testing.T) {
 func TestSnapshotCadenceSignal(t *testing.T) {
 	dir := t.TempDir()
 	store, cat := openStore(t, dir, Options{SnapshotEvery: 2})
-	if _, err := cat.RegisterSchema("a", schema(t, 1, "A")); err != nil {
+	if _, err := cat.Apply(schemaItem("a", schema(t, 1, "A"))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -405,7 +436,7 @@ func TestSnapshotCadenceSignal(t *testing.T) {
 		t.Fatal("cadence signal after one mutation with SnapshotEvery=2")
 	default:
 	}
-	if _, err := cat.RegisterSchema("b", schema(t, 1, "B")); err != nil {
+	if _, err := cat.Apply(schemaItem("b", schema(t, 1, "B"))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -429,7 +460,7 @@ func TestStorePreconditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.AppendMutation(&catalog.Mutation{Gen: 1, Kind: catalog.MutSchema, Name: "x", Schema: schema(t, 1, "X")}); err == nil {
+	if err := s.AppendMutation(&catalog.Mutation{Gen: 1, Problem: schemaItem("x", schema(t, 1, "X"))}); err == nil {
 		t.Fatal("AppendMutation before Recover succeeded")
 	}
 	if err := s.Recover(catalog.New()); err != nil {
@@ -464,7 +495,7 @@ func TestConcurrentMutationsAndSnapshots(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				name := fmt.Sprintf("s%d", w)
-				if _, err := cat.RegisterSchema(name, schema(t, 2, fmt.Sprintf("R%d", w))); err != nil {
+				if _, err := cat.Apply(schemaItem(name, schema(t, 2, fmt.Sprintf("R%d", w)))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -504,7 +535,7 @@ func TestConcurrentMutationsAndSnapshots(t *testing.T) {
 func TestFailedAppendPoisonsStore(t *testing.T) {
 	dir := t.TempDir()
 	store, cat := openStore(t, dir, Options{SnapshotEvery: -1})
-	if _, err := cat.RegisterSchema("keep", schema(t, 1, "K")); err != nil {
+	if _, err := cat.Apply(schemaItem("keep", schema(t, 1, "K"))); err != nil {
 		t.Fatal(err)
 	}
 	want := stateOf(cat)
@@ -513,13 +544,13 @@ func TestFailedAppendPoisonsStore(t *testing.T) {
 	store.wal.Close() // simulate the disk going away
 	store.mu.Unlock()
 
-	if _, err := cat.RegisterSchema("lost", schema(t, 1, "L")); err == nil {
+	if _, err := cat.Apply(schemaItem("lost", schema(t, 1, "L"))); err == nil {
 		t.Fatal("mutation committed although the WAL append failed")
 	}
 	if g := cat.Generation(); g != want.Gen {
 		t.Fatalf("generation moved to %d on a failed append", g)
 	}
-	if _, err := cat.RegisterSchema("lost2", schema(t, 1, "M")); err == nil {
+	if _, err := cat.Apply(schemaItem("lost2", schema(t, 1, "M"))); err == nil {
 		t.Fatal("poisoned store accepted a mutation")
 	}
 	if _, ok := cat.Schema("lost"); ok {
@@ -543,10 +574,10 @@ func TestFailedAppendPoisonsStore(t *testing.T) {
 func TestLoggerOrderingUnderLockFreeReads(t *testing.T) {
 	dir := t.TempDir()
 	s, cat := openStore(t, dir, Options{SnapshotEvery: -1})
-	if _, err := cat.RegisterSchema("src", schema(t, 2, "R", 1)); err != nil {
+	if _, err := cat.Apply(schemaItem("src", schema(t, 2, "R", 1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.RegisterSchema("dst", schema(t, 2, "T")); err != nil {
+	if _, err := cat.Apply(schemaItem("dst", schema(t, 2, "T"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -581,7 +612,7 @@ func TestLoggerOrderingUnderLockFreeReads(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		cs := parser.MustParseConstraints("R <= T")
-		if _, err := cat.RegisterMapping(fmt.Sprintf("m%d", i), "src", "dst", cs); err != nil {
+		if _, err := cat.Apply(mappingItem(t, cat, fmt.Sprintf("m%d", i), "src", "dst", cs)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -603,4 +634,93 @@ func TestLoggerOrderingUnderLockFreeReads(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("recovered state differs:\n%+v\nvs\n%+v", want, got)
 	}
+}
+
+// TestNonApplyRecordIsCorrupt: every catalog mutation is an Apply, so a
+// WAL record of any other kind — such as the single-schema and
+// single-mapping records earlier builds defined but never wrote — fails
+// Open with ErrCorrupt before anything replays.
+func TestNonApplyRecordIsCorrupt(t *testing.T) {
+	for _, payload := range []string{
+		`{"gen":1,"kind":"schema","name":"x","relations":{"X":1}}`,
+		`{"gen":1,"kind":"mapping","name":"m","from":"a","to":"b","constraints":["A <= B"]}`,
+		`{"gen":1,"problem":"schema x {\n  X/1;\n}\n"}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walFile), encodeFrame([]byte(payload)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open on %s = %v, want ErrCorrupt", payload, err)
+		}
+	}
+}
+
+// goldenApplyFrame is one apply record as every build since the WAL was
+// introduced frames it: the 12-byte header, then the JSON payload.
+const (
+	goldenApplyHeader  = "d8000000c40f41ae9a48ebf6"
+	goldenApplyPayload = `{"gen":1,"kind":"apply","problem":"schema original {\n  Movies/6;\n}\nschema fivestar {\n  FiveStarMovies/3;\n}\nmap m1 : original -\u003e fivestar {\n  proj[1,2,3](sel[#4='5'](Movies)) \u003c= FiveStarMovies;\n}\n"}`
+)
+
+// TestApplyRecordGoldenBytes pins the on-disk apply record in both
+// directions: encoding movieTask at generation 1 yields exactly the
+// golden frame, so older builds read new logs, and a log holding the
+// golden frame recovers into the batch, so new builds read old logs.
+func TestApplyRecordGoldenBytes(t *testing.T) {
+	rec, err := encodeMutation(&catalog.Mutation{Gen: 1, Problem: mustParse(t, movieTask)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := encodeFrame(payload)
+	header, err := hex.DecodeString(goldenApplyHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := append(header, goldenApplyPayload...)
+	if !bytes.Equal(frame, golden) {
+		t.Fatalf("apply frame changed:\ngot  %x %s\nwant %x %s", frame[:frameHeaderLen], frame[frameHeaderLen:], header, goldenApplyPayload)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFile), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, cat := openStore(t, dir, Options{SnapshotEvery: -1})
+	if st := store.Stats(); st.Recovery.Replayed != 1 || cat.Generation() != 1 {
+		t.Fatalf("recovery = %+v at generation %d, want one replayed record at generation 1", st.Recovery, cat.Generation())
+	}
+	if m, ok := cat.Mapping("m1"); !ok || m.From != "original" || m.To != "fivestar" || m.Generation != 1 {
+		t.Fatalf("golden record recovered mapping m1 = %+v, %v", m, ok)
+	}
+}
+
+// TestAppendRefusesUndeclaredEndpoint: a hand-built problem whose map
+// rides on already registered schemas is a valid Apply, but its
+// rendered task file would not re-parse on replay; the store refuses to
+// log it, so the catalog rejects the mutation and the data directory
+// stays recoverable.
+func TestAppendRefusesUndeclaredEndpoint(t *testing.T) {
+	dir := t.TempDir()
+	store, cat := openStore(t, dir, Options{SnapshotEvery: -1})
+	if _, err := cat.Apply(mustParse(t, movieTask)); err != nil {
+		t.Fatal(err)
+	}
+	want := stateOf(cat)
+	bare := &parser.Problem{
+		Maps:     map[string]*parser.MapDecl{"m2": {Name: "m2", From: "original", To: "fivestar", Constraints: parser.MustParseConstraints("proj[1,2,3](Movies) <= FiveStarMovies")}},
+		MapOrder: []string{"m2"},
+	}
+	if _, err := cat.Apply(bare); !errors.Is(err, catalog.ErrPersist) {
+		t.Fatalf("Apply of a map without its endpoint schemas = %v, want ErrPersist", err)
+	}
+	assertSameState(t, want, stateOf(cat))
+	store.Close()
+
+	_, recovered := openStore(t, dir, Options{SnapshotEvery: -1})
+	assertSameState(t, want, stateOf(recovered))
 }

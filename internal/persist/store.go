@@ -8,8 +8,8 @@
 // every logged mutation bumps the generation by exactly one, so the
 // generation doubles as the log sequence number. A snapshot at
 // generation G supersedes every record with gen ≤ G; recovery loads the
-// newest snapshot, replays the remaining records through the ordinary
-// catalog registration paths (re-running their validation), and
+// newest snapshot, replays the remaining records through Catalog.Apply
+// (re-running its validation), and
 // verifies after each replayed record that the catalog reached exactly
 // the logged generation — any divergence fails recovery loudly.
 //
@@ -34,7 +34,7 @@
 // Derived inverse edges (the catalog's bidirectional graph) are never
 // logged or snapshotted: they are a deterministic function of the
 // registered mappings, recomputed by the catalog's view builder as
-// replay and restore re-register each mapping. The on-disk format is
+// replay and restore re-install each mapping. The on-disk format is
 // therefore identical to a forward-only build, in both directions —
 // old logs replay into a bidirectional catalog, and logs written by
 // this version load in older builds.
@@ -237,8 +237,8 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // Recover materializes the recovered state into cat, which must be
 // virgin (fresh catalog.New(), no logger): the snapshot is restored
-// wholesale, then WAL records after it replay through the ordinary
-// registration paths, and after every record the catalog generation
+// wholesale, then WAL records after it replay through Catalog.Apply,
+// and after every record the catalog generation
 // must equal the logged one. Recover consumes the state read by Open
 // and can only be called once.
 func (s *Store) Recover(cat *catalog.Catalog) error {
@@ -265,7 +265,7 @@ func (s *Store) Recover(cat *catalog.Catalog) error {
 			return fmt.Errorf("%w: record jumps from generation %d to %d (missing mutations)", ErrCorrupt, gen, rec.Gen)
 		}
 		if err := replayRecord(rec, cat); err != nil {
-			return fmt.Errorf("persist: replaying generation %d (%s): %w", rec.Gen, rec.Kind, err)
+			return fmt.Errorf("persist: replaying generation %d: %w", rec.Gen, err)
 		}
 		if got := cat.Generation(); got != rec.Gen {
 			return fmt.Errorf("%w: replaying generation %d left the catalog at %d", ErrCorrupt, rec.Gen, got)
@@ -278,47 +278,32 @@ func (s *Store) Recover(cat *catalog.Catalog) error {
 	return nil
 }
 
-// replayRecord applies one WAL record through the catalog's public
-// mutation paths, re-running their validation.
+// replayRecord applies one WAL record through Catalog.Apply, re-running
+// its validation.
 func replayRecord(rec record, cat *catalog.Catalog) error {
-	switch catalog.MutationKind(rec.Kind) {
-	case catalog.MutSchema:
-		_, err := cat.RegisterSchema(rec.Name, decodeSchema(rec.Relations, rec.Keys))
-		return err
-	case catalog.MutMapping:
-		cs, err := decodeConstraints(rec.Constraints)
-		if err != nil {
-			return err
-		}
-		_, err = cat.RegisterMapping(rec.Name, rec.From, rec.To, cs)
-		return err
-	case catalog.MutApply:
-		p, err := parser.Parse(rec.Problem)
-		if err != nil {
-			return err
-		}
-		_, err = cat.Apply(p)
+	p, err := parser.Parse(rec.Problem)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("unknown mutation kind %q", rec.Kind)
+	_, err = cat.Apply(p)
+	return err
 }
 
-// encodeMutation renders a catalog mutation as a WAL record.
+// encodeMutation renders a catalog mutation as a WAL record. Replay
+// re-parses the task file, so a hand-built problem with a map whose
+// endpoint schema it does not declare is refused, not logged unreplayable.
 func encodeMutation(m *catalog.Mutation) (record, error) {
-	rec := record{Gen: m.Gen, Kind: string(m.Kind)}
-	switch m.Kind {
-	case catalog.MutSchema:
-		rec.Name = m.Name
-		rec.Relations, rec.Keys = encodeSchema(m.Schema)
-	case catalog.MutMapping:
-		rec.Name, rec.From, rec.To = m.Name, m.From, m.To
-		rec.Constraints = encodeConstraints(m.Constraints)
-	case catalog.MutApply:
-		rec.Problem = parser.Format(m.Problem)
-	default:
-		return rec, fmt.Errorf("persist: unknown mutation kind %q", m.Kind)
+	p := m.Problem
+	declared := make(map[string]bool, len(p.SchemaOrder))
+	for _, name := range p.SchemaOrder {
+		declared[name] = true
 	}
-	return rec, nil
+	for _, name := range p.MapOrder {
+		if d := p.Maps[name]; !declared[d.From] || !declared[d.To] {
+			return record{}, fmt.Errorf("persist: mapping %s has an endpoint schema the logged problem does not declare", name)
+		}
+	}
+	return record{Gen: m.Gen, Kind: applyKind, Problem: parser.Format(p)}, nil
 }
 
 // AppendMutation implements catalog.Logger: it encodes, frames, writes

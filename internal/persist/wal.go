@@ -49,26 +49,17 @@ const frameHeaderLen = 12
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// record is the JSON payload of one WAL frame: one catalog mutation.
-// Exactly one payload group is set, matching Kind (the catalog's
-// MutationKind values "schema", "mapping", "apply").
+// record is the JSON payload of one WAL frame: one catalog Apply, its
+// task file re-rendered by parser.Format.
 type record struct {
-	Gen  uint64 `json:"gen"`
-	Kind string `json:"kind"`
-	Name string `json:"name,omitempty"`
-	From string `json:"from,omitempty"`
-	To   string `json:"to,omitempty"`
-
-	// Schema payload.
-	Relations map[string]int   `json:"relations,omitempty"`
-	Keys      map[string][]int `json:"keys,omitempty"`
-
-	// Mapping payload: constraints in the parser's concrete syntax.
-	Constraints []string `json:"constraints,omitempty"`
-
-	// Apply payload: the task file re-rendered by parser.Format.
+	Gen     uint64 `json:"gen"`
+	Kind    string `json:"kind"`
 	Problem string `json:"problem,omitempty"`
 }
+
+// applyKind is every record's kind. Every catalog mutation is an Apply;
+// the field stays so the log keeps the layout earlier builds read.
+const applyKind = "apply"
 
 // encodeFrame frames an encoded payload.
 func encodeFrame(payload []byte) []byte {
@@ -84,8 +75,8 @@ func encodeFrame(payload []byte) []byte {
 // decoded records and the byte length of the valid prefix: validLen <
 // len(data) means the log ends in a torn frame the caller should
 // truncate away. Corruption — a complete frame that fails its checksum,
-// an implausible length, or an undecodable payload — returns an error
-// wrapping ErrCorrupt.
+// an implausible length, an undecodable payload, or a record that is not
+// an apply — returns an error wrapping ErrCorrupt.
 func decodeFrames(data []byte) (recs []record, validLen int, err error) {
 	off := 0
 	for off < len(data) {
@@ -114,8 +105,8 @@ func decodeFrames(data []byte) (recs []record, validLen int, err error) {
 		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
 			return nil, 0, fmt.Errorf("%w: undecodable payload at offset %d: %v", ErrCorrupt, off, jerr)
 		}
-		if rec.Gen == 0 || rec.Kind == "" {
-			return nil, 0, fmt.Errorf("%w: record at offset %d has no generation or kind", ErrCorrupt, off)
+		if rec.Gen == 0 || rec.Kind != applyKind {
+			return nil, 0, fmt.Errorf("%w: record at offset %d is not an apply with a generation (gen %d, kind %q)", ErrCorrupt, off, rec.Gen, rec.Kind)
 		}
 		recs = append(recs, rec)
 		off += frameHeaderLen + n

@@ -117,7 +117,8 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	}
 	// registerMapping republishes (or adds) one mapping between two
 	// cluster schemas without touching the schemas themselves, which
-	// only the catalog API can do: a register body must declare them.
+	// only a hand-built problem applied through the catalog API can do:
+	// a register body must declare them.
 	registerMapping := func(name, from, to, fromRel, toRel, body string) {
 		t.Helper()
 		p, err := parser.Parse(fmt.Sprintf("schema %s { %s/2; }\nschema %s { %s/2; }\nmap %s : %s -> %s { %s; }\n",
@@ -125,8 +126,9 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		one := &parser.Problem{Maps: map[string]*parser.MapDecl{name: p.Maps[name]}, MapOrder: []string{name}}
 		for _, s := range servers {
-			if _, err := s.cat.RegisterMapping(name, from, to, p.Maps[name].Constraints); err != nil {
+			if _, err := s.cat.Apply(one); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -46,6 +46,7 @@ import (
 	"mapcomp/internal/catalog"
 	"mapcomp/internal/core"
 	"mapcomp/internal/obs"
+	_ "mapcomp/internal/ops" // register join, semijoin, antijoin, lojoin, tc
 	"mapcomp/internal/par"
 	"mapcomp/internal/parser"
 	"mapcomp/internal/persist"

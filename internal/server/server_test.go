@@ -127,6 +127,33 @@ func TestComposeEndpoint(t *testing.T) {
 	}
 }
 
+// joinTask uses the paper's extended operators (§4.1), which the
+// library registers through internal/ops: composing j1→j3 must
+// eliminate U, which mj1 defines as a join.
+const joinTask = `
+schema j1 { S/2; T/2; }
+schema j2 { U/4; }
+schema j3 { W/4; }
+map mj1 : j1 -> j2 { join[1,1](S, T) <= U; }
+map mj2 : j2 -> j3 { U <= W; }
+`
+
+// TestRegisterExtendedOperators: every Server accepts the same operator
+// set as the library, so a join mapping registers and composes.
+func TestRegisterExtendedOperators(t *testing.T) {
+	s := New(Config{})
+	if rec := do(t, s, "POST", "/v1/register", joinTask); rec.Code != http.StatusOK {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body)
+	}
+	rec := do(t, s, "POST", "/v1/compose", `{"from":"j1","to":"j3"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("compose: %d %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), `"eliminated":{"U":"left-compose"}`) {
+		t.Fatalf("compose j1→j3 did not left-compose U away: %s", rec.Body)
+	}
+}
+
 // TestCacheHitSkipsEliminate is the acceptance check: a repeated request
 // on an unchanged catalog is served from the cache without re-running
 // ELIMINATE, verified by the step-count instrumentation. An unrelated
