@@ -84,11 +84,10 @@
 // BFS, at most once per cached source schema. A dropped pair is
 // recomputed by the next request for it.
 //
-// The cache is bounded by -cache-bytes (exact pre-encoded body sizes
-// plus per-entry overhead; default 64 MiB). -cache-bytes 0 removes the
-// byte budget, and the cache then falls back to server.DefaultCacheSize
-// (256) entries; a negative -cache-bytes is rejected at startup. Its
-// shard count derives from GOMAXPROCS.
+// The cache is bounded by -cache-bytes alone (exact pre-encoded body
+// and key sizes plus per-entry overhead; default and 0 both mean
+// server.DefaultCacheBytes, 64 MiB); a negative -cache-bytes is
+// rejected at startup. Its shard count derives from GOMAXPROCS.
 //
 // # Preemption
 //
@@ -126,8 +125,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8391", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20,
-		fmt.Sprintf("result cache byte budget, charging exact pre-encoded body sizes plus per-entry overhead (0 = no byte budget: the cache keeps at most %d entries)", server.DefaultCacheSize))
+	cacheBytes := flag.Int64("cache-bytes", server.DefaultCacheBytes,
+		"result cache byte budget, charging exact pre-encoded body and key sizes plus per-entry overhead (0 = the default)")
 	composeTimeout := flag.Duration("compose-timeout", 30*time.Second,
 		"server-side deadline per composition; expired deadlines return 504 (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (empty = memory-only)")
@@ -140,7 +139,7 @@ func main() {
 		"private listener serving net/http/pprof and /metrics (empty disables; keep it off the public address)")
 	flag.Parse()
 	if *cacheBytes < 0 {
-		fatal(fmt.Errorf("-cache-bytes %d: want 0 or a positive byte budget", *cacheBytes))
+		fatal(fmt.Errorf("-cache-bytes %d: want a positive byte budget, or 0 for the default", *cacheBytes))
 	}
 
 	logger, err := newLogger(*logFormat)

@@ -12,20 +12,24 @@
 //
 // # The result cache
 //
-// Composition results live in a sharded cache keyed on (catalog
-// generation, endpoint pair, config fingerprint). The shard count
-// derives from GOMAXPROCS, keys hash to shards, and each entry stores the response pre-encoded in the
-// wire format — so a repeated request is a lock-free shard probe plus a
-// byte copy, with no JSON marshaling and no cross-shard lock traffic.
-// GET /v1/results/{key} serves the same pre-encoded bytes, and
-// /v1/stats reports the shard count and per-shard entry distribution
-// under cache_shards / cache_shard_entries.
+// Composition results live in a sharded cache keyed on (endpoint pair,
+// config fingerprint); the catalog generation is a watermark on each
+// entry, not part of the key. The shard count derives from GOMAXPROCS,
+// pairs hash to shards, and each entry stores the response pre-encoded
+// in the wire format — so a repeated request is a lock-free shard probe
+// plus a byte copy, with no JSON marshaling and no cross-shard lock
+// traffic. GET /v1/results/{key} parses the pair back out of the key
+// and serves the same pre-encoded bytes, and /v1/stats reports the
+// shard count and per-shard entry distribution under cache_shards /
+// cache_shard_entries.
 //
 // Entries survive catalog mutations: each publish checks every cached
 // entry's route against the new catalog snapshot and drops only the
 // entries whose composition route changed, migrating the rest in place (step 6 below shows both
-// outcomes). The cache is bounded in bytes (mapcompd -cache-bytes); a
-// dropped pair is recomputed by the next request for it.
+// outcomes). The cache is bounded by bytes alone (server.Config's
+// CacheBytes, mapcompd -cache-bytes); this walkthrough leaves it zero,
+// which means server.DefaultCacheBytes (64 MiB). A dropped pair is
+// recomputed by the next request for it.
 //
 // # Deadlines
 //

@@ -22,10 +22,10 @@ import (
 func BenchmarkServerCompose(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("hit/workers=%d", workers), func(b *testing.B) {
-			benchCompose(b, Config{}, workers)
+			benchCompose(b, New(Config{}), workers)
 		})
 		b.Run(fmt.Sprintf("cold/workers=%d", workers), func(b *testing.B) {
-			benchCompose(b, Config{CacheSize: -1}, workers)
+			benchCompose(b, newUncachedServer(Config{}), workers)
 		})
 	}
 }
@@ -213,8 +213,7 @@ func TestComposeHitPathAllocBound(t *testing.T) {
 	}
 }
 
-func benchCompose(b *testing.B, cfg Config, workers int) {
-	s := New(cfg)
+func benchCompose(b *testing.B, s *Server, workers int) {
 	req := httptest.NewRequest("POST", "/v1/register", bytes.NewReader([]byte(chainTask)))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)

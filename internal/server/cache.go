@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,20 +26,26 @@ import (
 // the few pairs it actually changed instead of orphaning the cache.
 //
 // The cache is sharded: pairs hash to one of a power-of-two number of
-// shards (derived from GOMAXPROCS unless overridden), so concurrent
-// requests for distinct pairs never contend on a shared lock. Within a
-// shard, mutations — inserts, evictions, migration drops and the
-// singleflight book-keeping — serialize under the shard mutex, while
+// shards (derived from GOMAXPROCS), so concurrent requests for distinct
+// pairs never contend on a shared lock. Within a shard, mutations —
+// inserts, evictions, migration drops and the singleflight
+// book-keeping — serialize under the shard mutex, while
 // lookups are lock-free: each shard publishes an immutable view of its
 // entries through an atomic pointer (the same copy-on-write discipline
 // as internal/catalog), and a hit only loads the pointer, probes a map
 // that is never mutated after publication, checks the watermark and
 // bumps the entry's recency clock. Eviction is approximate LRU per
-// shard, bounded by entries and by bytes: entries carry an atomically
-// updated use counter and their exact wire size (the pre-encoded body
-// plus fixed overhead), and the least recently used entry is dropped
-// while the shard exceeds either its slice of the global entry bound or
-// of the global byte budget.
+// shard, bounded by bytes alone: entries carry an atomically updated
+// use counter and their exact byte charge (the pre-encoded body, the
+// key and a fixed overhead), and the least recently used entry is
+// dropped while the shard exceeds its slice of the byte budget. An
+// entry larger than that whole slice is never stored (its caller still
+// gets the response), so one oversized result cannot empty its shard.
+//
+// The one index is the pair. GET /v1/results/{key} needs no second map:
+// the key string names its pair (see keyString), so get parses it back
+// and probes the pair's shard, trying at most maxKeySplits splits when
+// schema names contain dots.
 //
 // Every stored entry carries the response pre-encoded in the wire
 // encoding with cached=true (see newCacheEntry), so the serving layer
@@ -86,17 +94,16 @@ type flightKey struct {
 
 // entryOverhead approximates the fixed per-entry cost beyond the
 // pre-encoded body: the entry struct, the decoded response and the
-// route it retains, and its slots in the two view maps. It keeps byte
+// route it retains, and its slot in the view map. It keeps byte
 // accounting honest for caches full of tiny results.
 const entryOverhead = 512
 
 // cacheEntry is one stored result: the decoded response (Cached=false,
-// as computed), its rendered key — the wire handle for
-// GET /v1/results/{key} — the pre-encoded cached=true body, the route
-// it was composed from, and the validated-at watermark.
+// as computed; its Key is the wire handle for GET /v1/results/{key}),
+// the pre-encoded cached=true body, the route it was composed from, and
+// the validated-at watermark.
 type cacheEntry struct {
 	pair pairKey
-	skey string
 	resp *ComposeResponse
 	// route is the catalog route resp was composed from, unchanged at
 	// every generation up to the watermark; migrate asks the publish
@@ -104,7 +111,7 @@ type cacheEntry struct {
 	// outside compose, which the next publish drops.
 	route *catalog.Route
 	enc   []byte        // pre-encoded wire body with cached=true; nil only if encoding failed
-	size  int64         // exact byte charge: len(enc)+len(skey)+entryOverhead
+	size  int64         // exact byte charge: len(enc)+len(resp.Key)+entryOverhead
 	gen   atomic.Uint64 // validated-at watermark; bumped in place by migrate
 	used  atomic.Int64  // shard clock value at last touch (approximate LRU)
 }
@@ -116,14 +123,14 @@ type cacheEntry struct {
 // (impossible for the wire types, but kept non-fatal) leaves enc nil
 // and the handlers fall back to marshaling per hit.
 func newCacheEntry(pair pairKey, resp *ComposeResponse, route *catalog.Route, gen uint64) *cacheEntry {
-	ent := &cacheEntry{pair: pair, skey: resp.Key, resp: resp, route: route}
+	ent := &cacheEntry{pair: pair, resp: resp, route: route}
 	ent.gen.Store(gen)
 	hit := *resp
 	hit.Cached = true
 	if b, err := marshalWire(&hit); err == nil {
 		ent.enc = b
 	}
-	ent.size = int64(len(ent.enc)+len(ent.skey)) + entryOverhead
+	ent.size = int64(len(ent.enc)+len(resp.Key)) + entryOverhead
 	return ent
 }
 
@@ -147,19 +154,15 @@ const (
 	coalesced                // waited on another caller's computation
 )
 
-// shardView is the immutable snapshot a shard publishes: both maps are
+// shardView is the immutable snapshot a shard publishes: the map is
 // built under the shard mutex and never mutated after the pointer swap,
 // so readers need no lock. bytes is the summed size of items.
 type shardView struct {
-	items    map[pairKey]*cacheEntry
-	byString map[string]*cacheEntry
-	bytes    int64
+	items map[pairKey]*cacheEntry
+	bytes int64
 }
 
-var emptyShardView = &shardView{
-	items:    map[pairKey]*cacheEntry{},
-	byString: map[string]*cacheEntry{},
-}
+var emptyShardView = &shardView{items: map[pairKey]*cacheEntry{}}
 
 type cacheShard struct {
 	view  atomic.Pointer[shardView]
@@ -167,8 +170,7 @@ type cacheShard struct {
 
 	mu       sync.Mutex // guards view mutations and calls
 	calls    map[flightKey]*call
-	max      int   // this shard's slice of the global entry bound; 0 = unbounded
-	maxBytes int64 // this shard's slice of the global byte budget; 0 = unbounded
+	maxBytes int64 // this shard's slice of the global byte budget
 }
 
 type resultCache struct {
@@ -176,25 +178,17 @@ type resultCache struct {
 	mask   uint64
 }
 
-// minShardCap is the smallest per-shard entry capacity worth sharding
-// for: below it the shard count is halved so tiny caches keep exact
-// bounds (and the degenerate 1-shard cache behaves like the old single
-// LRU). minShardBytes is the byte-budget equivalent for caches bounded
-// only by bytes.
-const (
-	minShardCap   = 8
-	minShardBytes = 16 << 10
-)
+// minShardBytes is the smallest per-shard byte budget worth sharding
+// for: below it the shard count is halved, so a tiny cache keeps a
+// useful budget per shard (and the degenerate 1-shard cache is one
+// exact LRU).
+const minShardBytes = 16 << 10
 
 // defaultShardCount derives the shard count from GOMAXPROCS, rounded up
 // to a power of two and capped at 64 — beyond the core count extra
 // shards only spread the same contention thinner.
 func defaultShardCount() int {
-	n := nextPow2(runtime.GOMAXPROCS(0))
-	if n > 64 {
-		n = 64
-	}
-	return n
+	return nextPow2(min(runtime.GOMAXPROCS(0), 64))
 }
 
 func nextPow2(n int) int {
@@ -205,46 +199,26 @@ func nextPow2(n int) int {
 	return p
 }
 
-// newResultCache builds a cache bounded to max entries (0 = no entry
-// bound) and maxBytes bytes (0 = no byte budget) across shards shards
-// (0 = derived from GOMAXPROCS; other values round up to a power of
-// two, capped at 64 like the derivation — the cap also keeps an absurd
-// Config.CacheShards from overflowing nextPow2). The shard count is
-// reduced until every shard's slice of whichever bound is active stays
-// useful, so small caches keep tight bounds.
-func newResultCache(max int, maxBytes int64, shards int) *resultCache {
-	n := shards
-	if n <= 0 {
-		n = defaultShardCount()
+// newResultCache builds a cache bounded to maxBytes bytes across shards
+// shards (0 = derived from GOMAXPROCS; other values round up to a power
+// of two). The shard count is halved while a shard's slice of the
+// budget is under minShardBytes.
+func newResultCache(maxBytes int64, shards int) *resultCache {
+	n := defaultShardCount()
+	if shards > 0 {
+		n = nextPow2(shards)
 	}
-	if n > 64 {
-		n = 64
-	}
-	n = nextPow2(n)
-	for n > 1 {
-		if max > 0 && max/n < minShardCap {
-			n >>= 1
-			continue
-		}
-		if max == 0 && maxBytes > 0 && maxBytes/int64(n) < minShardBytes {
-			n >>= 1
-			continue
-		}
-		break
+	for n > 1 && maxBytes/int64(n) < minShardBytes {
+		n >>= 1
 	}
 	c := &resultCache{shards: make([]*cacheShard, n), mask: uint64(n - 1)}
-	base, rem := max/n, max%n
-	bBase, bRem := maxBytes/int64(n), maxBytes%int64(n)
+	base, rem := maxBytes/int64(n), maxBytes%int64(n)
 	for i := range c.shards {
-		capacity := base
-		if max > 0 && i < rem {
-			capacity++
-		}
-		budget := bBase
-		if maxBytes > 0 && int64(i) < bRem {
+		budget := base
+		if int64(i) < rem {
 			budget++
 		}
-		sh := &cacheShard{calls: make(map[flightKey]*call), max: capacity, maxBytes: budget}
+		sh := &cacheShard{calls: make(map[flightKey]*call), maxBytes: budget}
 		sh.view.Store(emptyShardView)
 		c.shards[i] = sh
 	}
@@ -285,8 +259,7 @@ func (sh *cacheShard) touch(ent *cacheEntry) {
 // which becomes the new entry's watermark. Responses are stored only
 // on success; errors are shared with coalesced waiters but never
 // cached, and a context-cancellation outcome is not even shared — it
-// hands the flight off (see the package comment). The stored entry's skey is the computed response's Key
-// field, rendered once inside the computation.
+// hands the flight off (see the package comment).
 func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute func(context.Context) (*ComposeResponse, *catalog.Route, uint64, error)) (*cacheEntry, hitKind, error) {
 	sh := c.shard(pair)
 	fk := flightKey{pair: pair, gen: gen}
@@ -349,47 +322,39 @@ func (c *resultCache) do(ctx context.Context, pair pairKey, gen uint64, compute 
 }
 
 // insertLocked publishes a new view containing ent, evicting the least
-// recently used entries while the shard exceeds its entry capacity or
-// byte budget. If the pair is already cached with an equally fresh or
-// fresher watermark, the existing entry wins — its response is provably
-// byte-identical at any generation both are valid for, and keeping it
-// skips the view copy. Callers hold sh.mu.
+// recently used entries while the shard exceeds its byte budget. An
+// entry larger than the whole budget is not stored: it would evict
+// every other entry and then itself. If the pair is already cached with
+// an equally fresh or fresher watermark, the existing entry wins — its
+// response is provably byte-identical at any generation both are valid
+// for, and keeping it skips the view copy. Callers hold sh.mu.
 //
 // The full-map copy per insert is the deliberate price of lock-free
-// readers: the published maps must never be mutated (Go maps tolerate
+// readers: the published map must never be mutated (Go maps tolerate
 // no concurrent read/write), so "mutate then republish the pointer"
-// is not an option. The copy is O(shard capacity) — at the default
-// 256 entries spread over the shards it is microseconds — and it only
-// runs on a miss, whose composition costs orders of magnitude more;
-// raise the shard count before raising per-shard capacity if inserts
-// ever show up in a profile.
+// is not an option. The copy is O(shard entries) and only runs on a
+// miss, whose composition costs orders of magnitude more; raise the
+// shard count before raising per-shard capacity if inserts ever show
+// up in a profile.
 func (sh *cacheShard) insertLocked(ent *cacheEntry) {
+	if ent.size > sh.maxBytes {
+		return
+	}
 	old := sh.view.Load()
 	if prev := old.items[ent.pair]; prev != nil && prev.gen.Load() >= ent.gen.Load() {
 		sh.touch(prev)
 		return
 	}
-	next := &shardView{
-		items:    make(map[pairKey]*cacheEntry, len(old.items)+1),
-		byString: make(map[string]*cacheEntry, len(old.byString)+1),
-		bytes:    old.bytes,
-	}
+	next := &shardView{items: make(map[pairKey]*cacheEntry, len(old.items)+1), bytes: old.bytes}
 	for k, e := range old.items {
 		next.items[k] = e
 	}
-	for k, e := range old.byString {
-		next.byString[k] = e
-	}
 	if prev := next.items[ent.pair]; prev != nil {
 		next.bytes -= prev.size
-		if next.byString[prev.skey] == prev {
-			delete(next.byString, prev.skey)
-		}
 	}
 	next.items[ent.pair] = ent
-	next.byString[ent.skey] = ent
 	next.bytes += ent.size
-	for (sh.max > 0 && len(next.items) > sh.max) || (sh.maxBytes > 0 && next.bytes > sh.maxBytes) {
+	for next.bytes > sh.maxBytes {
 		var victim *cacheEntry
 		for _, e := range next.items {
 			if victim == nil || e.used.Load() < victim.used.Load() {
@@ -398,14 +363,6 @@ func (sh *cacheShard) insertLocked(ent *cacheEntry) {
 		}
 		delete(next.items, victim.pair)
 		next.bytes -= victim.size
-		// A duplicate skey (possible only for hand-built entries with
-		// colliding Key fields) must not unlink a survivor's handle.
-		if next.byString[victim.skey] == victim {
-			delete(next.byString, victim.skey)
-		}
-		if len(next.items) == 0 {
-			break
-		}
 	}
 	sh.view.Store(next)
 }
@@ -494,23 +451,13 @@ func (c *resultCache) migrate(oldGen, newGen uint64, invalid func(*cacheEntry) b
 		}
 		if len(drops) > 0 {
 			m.dropped += len(drops)
-			next := &shardView{
-				items:    make(map[pairKey]*cacheEntry, len(old.items)),
-				byString: make(map[string]*cacheEntry, len(old.byString)),
-				bytes:    old.bytes,
-			}
+			next := &shardView{items: make(map[pairKey]*cacheEntry, len(old.items)), bytes: old.bytes}
 			for k, e := range old.items {
 				next.items[k] = e
-			}
-			for k, e := range old.byString {
-				next.byString[k] = e
 			}
 			for _, e := range drops {
 				delete(next.items, e.pair)
 				next.bytes -= e.size
-				if next.byString[e.skey] == e {
-					delete(next.byString, e.skey)
-				}
 			}
 			sh.view.Store(next)
 		}
@@ -542,13 +489,41 @@ func (c *resultCache) valid(pair pairKey, gen uint64) bool {
 	return ent != nil && ent.gen.Load() >= gen
 }
 
-// get fetches a cached entry by its rendered key. The shard is not
-// derivable from the string without re-parsing it, so all shards are
-// probed — each probe is one lock-free pointer load and map lookup, and
-// GET /v1/results is far off the hot path.
-func (c *resultCache) get(skey string) (*cacheEntry, bool) {
-	for _, sh := range c.shards {
-		if ent := sh.view.Load().byString[skey]; ent != nil {
+// maxKeySplits bounds the '.' splits get tries. Each split hashes the
+// whole pair, so without a bound a client-chosen key made of dots would
+// cost time quadratic in its length.
+const maxKeySplits = 8
+
+// get fetches a cached entry by its rendered key. keyString's
+// g<gen>.<from>.<to>.<cfg> form names the pair, so get parses the
+// config fingerprint after the last '.' and probes the pair's shard for
+// each '.' split of the middle part — one split unless a schema name
+// itself contains a '.'. A middle part with more than maxKeySplits dots
+// misses without a probe, so a pair whose two names hold more than
+// maxKeySplits-1 dots between them is served by POST /v1/compose only.
+// Only an entry whose Key equals the requested key is served, so a
+// malformed key, another route generation or another config
+// fingerprint all miss.
+func (c *resultCache) get(key string) (*cacheEntry, bool) {
+	first, last := strings.IndexByte(key, '.'), strings.LastIndexByte(key, '.')
+	if first == last {
+		return nil, false
+	}
+	cfg, err := strconv.ParseUint(key[last+1:], 16, 64)
+	if err != nil {
+		return nil, false
+	}
+	mid := key[first+1 : last]
+	if strings.Count(mid, ".") > maxKeySplits {
+		return nil, false
+	}
+	for i := 0; i < len(mid); i++ {
+		if mid[i] != '.' {
+			continue
+		}
+		pair := pairKey{from: mid[:i], to: mid[i+1:], cfg: cfg}
+		sh := c.shard(pair)
+		if ent := sh.view.Load().items[pair]; ent != nil && ent.resp.Key == key {
 			sh.touch(ent)
 			return ent, true
 		}
@@ -565,20 +540,11 @@ func (c *resultCache) len() int {
 	return n
 }
 
-// bytes reports the summed size of all cached entries, for /v1/stats.
-func (c *resultCache) bytes() int64 {
-	var n int64
-	for _, sh := range c.shards {
-		n += sh.view.Load().bytes
-	}
-	return n
-}
-
 // cacheStats is a mutually consistent cache summary: every number is
 // derived from a single load of each shard's published view, so the
 // total always equals the per-shard sum and the byte count describes
-// exactly the counted entries — three separate sweeps (len, bytes,
-// shardLens) could each observe a different set of views under load.
+// exactly the counted entries — separate sweeps could each observe a
+// different set of views under load.
 type cacheStats struct {
 	entries  int
 	bytes    int64

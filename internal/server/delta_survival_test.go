@@ -104,7 +104,7 @@ func normalizeResponse(t *testing.T, rec *httptest.ResponseRecorder) []byte {
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	const clusters = 6
 	delta := New(Config{})
-	oracle := New(Config{CacheSize: -1})
+	oracle := newUncachedServer(Config{})
 	servers := []*Server{delta, oracle}
 
 	apply := func(body string) {
@@ -337,13 +337,15 @@ func TestMixedWorkloadSurvivalFloor(t *testing.T) {
 	t.Logf("steady-state hit rate %.3f over %d composes", hitRate, rounds*composesPerReg)
 }
 
-// TestDefaultCacheBound pins what a zero Config means: with neither an
-// entry bound nor a byte budget the cache is not unbounded but keeps at
-// most DefaultCacheSize entries. A negative byte budget means the same
-// as none, not an unbounded cache that never evicts.
+// TestDefaultCacheBound pins what a zero Config means: the cache is not
+// unbounded but holds DefaultCacheBytes, split across its shards, and
+// Warm is capped at the entry count that budget could hold. A negative
+// byte budget means the same as zero. The budget holds far more than
+// the 257 small results composed here, so none is evicted.
 func TestDefaultCacheBound(t *testing.T) {
+	const pairs = 257
 	var sb strings.Builder
-	for i := 0; i <= DefaultCacheSize; i++ {
+	for i := 0; i < pairs; i++ {
 		fmt.Fprintf(&sb, "schema d%da { DA%d/1; }\nschema d%db { DB%d/1; }\nmap d%d : d%da -> d%db { DA%d <= DB%d; }\n", i, i, i, i, i, i, i, i, i)
 	}
 	for _, tc := range []struct {
@@ -355,18 +357,27 @@ func TestDefaultCacheBound(t *testing.T) {
 			if rec := do(t, s, "POST", "/v1/register", sb.String()); rec.Code != http.StatusOK {
 				t.Fatalf("register: %d %s", rec.Code, rec.Body)
 			}
-			for i := 0; i <= DefaultCacheSize; i++ {
+			var budget int64
+			for _, sh := range s.cache.shards {
+				budget += sh.maxBytes
+			}
+			if budget != DefaultCacheBytes {
+				t.Fatalf("shard budgets sum to %d, want DefaultCacheBytes = %d", budget, DefaultCacheBytes)
+			}
+			if s.cacheCap != DefaultCacheBytes/entryOverhead {
+				t.Fatalf("Warm cap = %d, want %d", s.cacheCap, DefaultCacheBytes/entryOverhead)
+			}
+			for i := 0; i < pairs; i++ {
 				if rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":"d%da","to":"d%db"}`, i, i)); rec.Code != http.StatusOK {
 					t.Fatalf("compose %d: %d %s", i, rec.Code, rec.Body)
 				}
 			}
 			st := s.Stats()
-			if st.Composes != DefaultCacheSize+1 {
-				t.Fatalf("composes = %d, want %d distinct", st.Composes, DefaultCacheSize+1)
+			if st.Composes != pairs || st.CacheEntries != pairs {
+				t.Fatalf("composes = %d, cache entries = %d, want %d of each", st.Composes, st.CacheEntries, pairs)
 			}
-			if st.CacheEntries > DefaultCacheSize {
-				t.Fatalf("cache holds %d entries after %d distinct composes, want ≤ DefaultCacheSize = %d",
-					st.CacheEntries, DefaultCacheSize+1, DefaultCacheSize)
+			if st.CacheBytes > DefaultCacheBytes {
+				t.Fatalf("cache bytes = %d, over the %d budget", st.CacheBytes, DefaultCacheBytes)
 			}
 		})
 	}
@@ -381,7 +392,8 @@ func TestDefaultCacheBound(t *testing.T) {
 // response for the wrong pair).
 func TestMigrationHammer(t *testing.T) {
 	const clusters = 4
-	s := New(Config{CacheShards: 8})
+	s := New(Config{})
+	s.cache = newResultCache(DefaultCacheBytes, 8)
 	var mu sync.Mutex
 	var records []migrationRecord
 	s.migrateHook = func(r migrationRecord) {
@@ -532,10 +544,10 @@ func shapeCatalog(t *testing.T, s *Server) [][2]string {
 // TestWarmAtCatalogShape: uncapped, Warm composes every reachable pair —
 // derived-inverse pairs included — so each one is then a hit; capped,
 // it composes exactly the first cacheCap connected pairs in (from, to)
-// name order.
+// name order, cacheCap being the budget over entryOverhead.
 func TestWarmAtCatalogShape(t *testing.T) {
 	t.Run("uncapped", func(t *testing.T) {
-		s := New(Config{CacheSize: 1 << 12})
+		s := New(Config{})
 		pairs := shapeCatalog(t, s)
 		n := s.Warm(context.Background())
 		st := s.Stats()
@@ -563,7 +575,13 @@ func TestWarmAtCatalogShape(t *testing.T) {
 		// before "c1a"): the cap cuts a source's targets, where name
 		// order (c10b>c10a) and BFS discovery order (c10b>c10c) differ.
 		const capacity = 9
-		s := New(Config{CacheSize: capacity, CacheShards: 1})
+		s := New(Config{CacheBytes: capacity * entryOverhead})
+		if s.cacheCap != capacity {
+			t.Fatalf("Warm cap = %d, want %d", s.cacheCap, capacity)
+		}
+		// A roomy one-shard cache, so the cap alone — not eviction —
+		// decides which pairs end up cached.
+		s.cache = newResultCache(1<<20, 1)
 		pairs := shapeCatalog(t, s)
 		if n := s.Warm(context.Background()); n != capacity {
 			t.Fatalf("Warm = %d, want the cap %d", n, capacity)

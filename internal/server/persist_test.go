@@ -128,9 +128,9 @@ func TestWarmFillsCache(t *testing.T) {
 	}
 }
 
-// TestWarmRespectsDisabledCache: with caching off Warm is a no-op.
+// TestWarmRespectsDisabledCache: without a cache Warm is a no-op.
 func TestWarmRespectsDisabledCache(t *testing.T) {
-	s := New(Config{CacheSize: -1})
+	s := newUncachedServer(Config{})
 	if rec := do(t, s, "POST", "/v1/register", chainTask); rec.Code != http.StatusOK {
 		t.Fatalf("register: %d %s", rec.Code, rec.Body)
 	}

@@ -120,7 +120,7 @@ func TestCancelledComposeNeverCachedAndWaitersObserveError(t *testing.T) {
 // and completes the computation — the leader's cancellation is not
 // inherited.
 func TestAbandonedFlightHandsOffToLiveWaiter(t *testing.T) {
-	c := newResultCache(4, 0, 0)
+	c := newResultCache(1<<20, 0)
 	pair := pairKey{from: "a", to: "b", cfg: 7}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -177,7 +177,7 @@ func TestAbandonedFlightHandsOffToLiveWaiter(t *testing.T) {
 // stops waiting when its own context ends, without disturbing the
 // leader's computation.
 func TestWaiterOwnDeadlineWins(t *testing.T) {
-	c := newResultCache(4, 0, 0)
+	c := newResultCache(1<<20, 0)
 	pair := pairKey{from: "a", to: "b", cfg: 7}
 	leaderGo := make(chan struct{})
 	leaderIn := make(chan struct{})

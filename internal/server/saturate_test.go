@@ -28,9 +28,13 @@ import (
 // even under an expired deadline, by design).
 const numPairs = 16
 
+// saturationBudget gives each of the 8 shards twice minShardBytes.
+const saturationBudget = 8 * 2 * minShardBytes
+
 func newSaturationServer(t *testing.T) *Server {
 	t.Helper()
-	s := New(Config{CacheSize: 512, CacheShards: 8})
+	s := New(Config{})
+	s.cache = newResultCache(saturationBudget, 8)
 	var sb strings.Builder
 	sb.WriteString(chainTask)
 	for i := 0; i < numPairs-1; i++ {
@@ -45,21 +49,14 @@ func newSaturationServer(t *testing.T) *Server {
 	return s
 }
 
-// TestCacheShardClamp pins the shard-count clamp: an absurd
-// Config.CacheShards lands on the 64 cap (before the clamp, 2^62+1 made
-// nextPow2 overflow int and loop forever, hanging the server at
-// construction), and a tiny cache collapses to one shard so its bound
-// stays exact.
+// TestCacheShardClamp pins the shard-count clamp: a count rounds up to
+// a power of two, and too small a budget to slice usefully collapses to
+// one shard.
 func TestCacheShardClamp(t *testing.T) {
-	if got := len(newResultCache(512, 0, (1<<62)+1).shards); got != 64 {
-		t.Fatalf("shards = %d, want the 64 cap", got)
+	if got := len(newResultCache(DefaultCacheBytes, 5).shards); got != 8 {
+		t.Fatalf("shards = %d, want 5 rounded up to 8", got)
 	}
-	if got := len(newResultCache(4, 0, 8).shards); got != 1 {
-		t.Fatalf("tiny cache shards = %d, want 1", got)
-	}
-	// A bytes-only bound clamps the same way: too small a budget to
-	// slice usefully collapses to one shard.
-	if got := len(newResultCache(0, 8<<10, 8).shards); got != 1 {
+	if got := len(newResultCache(8<<10, 8).shards); got != 1 {
 		t.Fatalf("tiny byte-budget shards = %d, want 1", got)
 	}
 }
@@ -145,8 +142,8 @@ func TestShardedCacheSaturation(t *testing.T) {
 	if stats.CacheHits == 0 {
 		t.Fatal("saturation produced no cache hits")
 	}
-	if stats.CacheShards != 8 {
-		t.Fatalf("cache shards = %d, want 8", stats.CacheShards)
+	if stats.CacheShardCount != 8 {
+		t.Fatalf("cache shards = %d, want 8", stats.CacheShardCount)
 	}
 	sum := 0
 	for _, n := range stats.CacheShardEntries {
@@ -155,8 +152,8 @@ func TestShardedCacheSaturation(t *testing.T) {
 	if sum != stats.CacheEntries {
 		t.Fatalf("shard entries %v sum to %d, want cache_entries %d", stats.CacheShardEntries, sum, stats.CacheEntries)
 	}
-	if stats.CacheEntries > 512 {
-		t.Fatalf("cache entries = %d, exceeds the global bound 512", stats.CacheEntries)
+	if stats.CacheBytes > saturationBudget {
+		t.Fatalf("cache bytes = %d, exceeds the global budget %d", stats.CacheBytes, saturationBudget)
 	}
 }
 

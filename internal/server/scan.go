@@ -91,97 +91,6 @@ func scanComposeRequest(b []byte) (composeReqView, bool) {
 	return v, true
 }
 
-// scanBatchRequest parses a batch envelope {"requests":[...]} into
-// materialized per-item requests (each item still goes through the
-// zero-alloc field scanner; only the item strings are copied, not a
-// stdlib decode of the whole envelope). ok=false falls back.
-func scanBatchRequest(b []byte) ([]ComposeRequest, bool) {
-	s := reqScanner{b: b}
-	s.skipSpace()
-	if !s.eat('{') {
-		return nil, false
-	}
-	var out []ComposeRequest
-	seen := false
-	s.skipSpace()
-	if s.eat('}') {
-		s.skipSpace()
-		if s.pos != len(s.b) {
-			return nil, false
-		}
-		return nil, true
-	}
-	for {
-		s.skipSpace()
-		key, ok := s.scanKey()
-		if !ok {
-			return nil, false
-		}
-		s.skipSpace()
-		if !s.eat(':') {
-			return nil, false
-		}
-		s.skipSpace()
-		if foldEqual(key, "requests") {
-			items, ok := s.scanRequestArray()
-			if !ok {
-				return nil, false
-			}
-			// Duplicate keys: last one wins, like the stdlib decoder.
-			out, seen = items, true
-		} else if !s.skipValue(maxScanDepth) {
-			return nil, false
-		}
-		s.skipSpace()
-		if s.eat(',') {
-			continue
-		}
-		if s.eat('}') {
-			break
-		}
-		return nil, false
-	}
-	s.skipSpace()
-	if s.pos != len(s.b) {
-		return nil, false
-	}
-	_ = seen
-	return out, true
-}
-
-// scanRequestArray parses the batch's requests value: null, or an array
-// of compose request objects.
-func (s *reqScanner) scanRequestArray() ([]ComposeRequest, bool) {
-	if s.hasPrefix("null") {
-		s.pos += 4
-		return nil, true
-	}
-	if !s.eat('[') {
-		return nil, false
-	}
-	s.skipSpace()
-	if s.eat(']') {
-		return []ComposeRequest{}, true
-	}
-	var out []ComposeRequest
-	for {
-		s.skipSpace()
-		v, ok := s.scanComposeObject()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v.request())
-		s.skipSpace()
-		if s.eat(',') {
-			continue
-		}
-		if s.eat(']') {
-			return out, true
-		}
-		return nil, false
-	}
-}
-
 // scanComposeObject parses one {"from","to","timeout_ms","trace"}
 // object from the current position. Unknown keys are skipped; known
 // keys match ASCII case-insensitively (the stdlib's fallback rule —

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 )
 
@@ -91,47 +90,6 @@ func TestScanComposeRequest(t *testing.T) {
 			t.Errorf("scanner accepted %q, must decline (semantics need the stdlib fallback)", body)
 		}
 		scanEquivalent(t, []byte(body))
-	}
-}
-
-func TestScanBatchRequest(t *testing.T) {
-	body := `{"requests":[{"from":"a","to":"b"},{"to":"d","from":"c","timeout_ms":9,"trace":true},{}],"x":1}`
-	got, ok := scanBatchRequest([]byte(body))
-	if !ok {
-		t.Fatalf("scanner declined %q", body)
-	}
-	var want BatchRequest
-	if err := json.Unmarshal([]byte(body), &want); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Requests) {
-		t.Fatalf("batch scan = %+v, want %+v", got, want.Requests)
-	}
-
-	for _, tc := range []string{`{"requests":null}`, `{"requests":[]}`, `{}`} {
-		got, ok := scanBatchRequest([]byte(tc))
-		if !ok {
-			t.Fatalf("scanner declined %q", tc)
-		}
-		var want BatchRequest
-		if err := json.Unmarshal([]byte(tc), &want); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want.Requests) {
-			t.Fatalf("%q: scan = %d requests, stdlib = %d", tc, len(got), len(want.Requests))
-		}
-	}
-
-	declined := []string{
-		`{"requests":[{"from":"a","to":"b"},]}`,
-		`{"requests":"nope"}`,
-		`[]`,
-		`{"requests":[{"from":"a","to":"b"}]} x`,
-	}
-	for _, body := range declined {
-		if _, ok := scanBatchRequest([]byte(body)); ok {
-			t.Errorf("batch scanner accepted %q, must decline", body)
-		}
 	}
 }
 

@@ -2,13 +2,14 @@
 // over internal/catalog that registers schemas and mappings (accepting
 // the internal/parser text format as the wire payload) and answers
 // single and batched composition requests. Results are cached in a
-// bounded, sharded cache keyed on (endpoint pair, config fingerprint)
-// with the catalog generation as a validated-at watermark: entries
-// store the response pre-encoded in the wire format, so repeated
-// requests are served without re-running ELIMINATE and without
-// marshaling anything — a hit is a lock-free shard probe plus a byte
-// copy to the socket — and identical in-flight requests are coalesced
-// to a single computation. Catalog mutations do not wipe the cache: a
+// sharded cache bounded by one byte budget (Config.CacheBytes) and
+// keyed on (endpoint pair, config fingerprint) alone, with the catalog
+// generation as a validated-at watermark: entries store the response
+// pre-encoded in the wire format, so repeated requests are served
+// without re-running ELIMINATE and without marshaling anything — a hit
+// is a lock-free shard probe plus a byte copy to the socket — and
+// identical in-flight requests are coalesced to a single computation.
+// Catalog mutations do not wipe the cache: a
 // publish hook checks each cached entry's route against the new
 // snapshot (catalog.ComputeDelta, Delta.Invalidated), drops only the
 // entries whose route actually changed, and migrates every other entry
@@ -52,8 +53,9 @@ import (
 	"mapcomp/internal/persist"
 )
 
-// DefaultCacheSize bounds the result cache when Config.CacheSize is 0.
-const DefaultCacheSize = 256
+// DefaultCacheBytes is the result cache's byte budget when
+// Config.CacheBytes is zero or negative.
+const DefaultCacheBytes = 64 << 20
 
 // maxBodyBytes bounds request bodies; task files in the text format are
 // small (the paper-scale suite is a few hundred KB).
@@ -66,22 +68,11 @@ const maxBatch = 1024
 type Config struct {
 	// Catalog is the backing store; nil creates a fresh empty catalog.
 	Catalog *catalog.Catalog
-	// CacheSize bounds the result cache in entries. 0 means
-	// DefaultCacheSize unless CacheBytes sets a byte budget; negative
-	// disables caching and coalescing entirely (the uncached oracle of
-	// the equivalence tests and the cold-path benchmark).
-	CacheSize int
 	// CacheBytes bounds the result cache by exact byte footprint
-	// (pre-encoded body sizes plus fixed per-entry overhead). 0 means
-	// no byte budget, and a negative value is treated as 0. Both bounds
-	// apply when both are set; with both 0 the cache falls back to
-	// DefaultCacheSize entries.
+	// (pre-encoded body and key sizes plus fixed per-entry overhead).
+	// Zero or negative means DefaultCacheBytes. The shard count derives
+	// from GOMAXPROCS and shrinks for small budgets.
 	CacheBytes int64
-	// CacheShards sets the result cache's shard count. 0 derives a
-	// power of two from GOMAXPROCS; other values round up to a power of
-	// two, capped at 64. Small caches reduce the count so per-shard
-	// capacity stays useful.
-	CacheShards int
 	// Compose selects the algorithm configuration; nil means
 	// core.DefaultConfig().
 	Compose *core.Config
@@ -110,8 +101,8 @@ type Server struct {
 	cat      *catalog.Catalog
 	cfg      *core.Config
 	cfgFP    uint64
-	cache    *resultCache // nil when caching is disabled
-	cacheCap int
+	cache    *resultCache   // nil only in tests: the uncached reference path
+	cacheCap int            // Warm's pair cap: the most entries the budget can hold
 	persist  *persist.Store // nil without a durability backend
 	timeout  time.Duration  // server-side compose deadline; 0 = none
 	slow     time.Duration  // slow-request log threshold; 0 = off
@@ -149,9 +140,9 @@ type migrationRecord struct {
 	candidates, migrated, dropped int
 }
 
-// New builds a Server around cfg. When caching is enabled the server
-// installs itself as the catalog's publish hook, so every mutation —
-// whoever drives it — migrates the cache by the snapshot delta.
+// New builds a Server around cfg. The server installs itself as the
+// catalog's publish hook, so every mutation — whoever drives it —
+// migrates the cache by the snapshot delta.
 func New(cfg Config) *Server {
 	s := &Server{cat: cfg.Catalog, cfg: cfg.Compose, persist: cfg.Persist,
 		timeout: cfg.ComposeTimeout, slow: cfg.SlowRequest, logger: cfg.Logger}
@@ -165,20 +156,15 @@ func New(cfg Config) *Server {
 		s.cfg = core.DefaultConfig()
 	}
 	s.cfgFP = s.cfg.Fingerprint()
-	size, budget := cfg.CacheSize, max(cfg.CacheBytes, 0)
-	if size == 0 && budget == 0 {
-		size = DefaultCacheSize
+	budget := cfg.CacheBytes
+	if budget <= 0 {
+		budget = DefaultCacheBytes
 	}
-	if size >= 0 {
-		s.cache = newResultCache(size, budget, cfg.CacheShards)
-		s.cacheCap = size
-		if size == 0 {
-			// Bytes-only bound: cap Warm's pair sweep at the smallest
-			// entry count that could exhaust the budget.
-			s.cacheCap = int(budget / entryOverhead)
-		}
-		s.cat.SetPublishHook(s.onPublish)
-	}
+	s.cache = newResultCache(budget, 0)
+	// Cap Warm's pair sweep at the smallest entry count that could
+	// exhaust the budget.
+	s.cacheCap = int(budget / entryOverhead)
+	s.cat.SetPublishHook(s.onPublish)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/register", s.handleRegister)
 	mux.HandleFunc("POST /v1/compose", s.handleCompose)
@@ -251,7 +237,7 @@ func (s *Server) Stats() StatsResponse {
 		cs := s.cache.stats()
 		out.CacheEntries = cs.entries
 		out.CacheBytes = cs.bytes
-		out.CacheShards = len(s.cache.shards)
+		out.CacheShardCount = len(s.cache.shards)
 		out.CacheShardEntries = cs.perShard
 	}
 	gs := snap.GraphStats()
@@ -552,7 +538,7 @@ func (s *Server) compose(ctx context.Context, snap catalog.Snap, from, to string
 		if err != nil {
 			return nil, computed, err
 		}
-		return &cacheEntry{pair: pair, skey: resp.Key, resp: resp}, computed, nil
+		return &cacheEntry{pair: pair, resp: resp}, computed, nil
 	}
 	ent, kind, err := s.cache.do(ctx, pair, snap.Generation(), run)
 	switch kind {
@@ -756,9 +742,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) bool {
 	body := buf.Bytes()
 
 	var req BatchRequest
-	if reqs, ok := scanBatchRequest(body); ok {
-		req.Requests = reqs
-	} else if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeBodyError(w, "batch", err)
 		return false
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"mapcomp/internal/algebra"
+	"mapcomp/internal/catalog"
+	"mapcomp/internal/parser"
 )
 
 // chainTask is the quickstart movie scenario split into two hops, so
@@ -33,6 +39,17 @@ func newTestServer(t *testing.T) *Server {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("register: %d %s", rec.Code, rec.Body)
 	}
+	return s
+}
+
+// newUncachedServer builds a server with its result cache removed:
+// the publish hook is detached and every request composes afresh. It
+// is the full-recompute reference path the equivalence tests and the
+// cold benchmark compare the cache against.
+func newUncachedServer(cfg Config) *Server {
+	s := New(cfg)
+	s.cat.SetPublishHook(nil)
+	s.cache = nil
 	return s
 }
 
@@ -349,6 +366,137 @@ func TestResultsEndpoint(t *testing.T) {
 	}
 }
 
+// TestResultsByKey drives GET /v1/results/{key} through keys that name
+// no cached entry, a migrated entry, a republished route and a pair
+// whose schema names contain '.', which the key format cannot delimit.
+func TestResultsByKey(t *testing.T) {
+	s := newTestServer(t)
+	cfg := fmt.Sprintf("%016x", s.cfgFP)
+	compose := func(from, to string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := do(t, s, "POST", "/v1/compose", fmt.Sprintf(`{"from":%q,"to":%q}`, from, to))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("compose %s→%s: %d %s", from, to, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	register := func(body string) {
+		t.Helper()
+		if rec := do(t, s, "POST", "/v1/register", body); rec.Code != http.StatusOK {
+			t.Fatalf("register: %d %s", rec.Code, rec.Body)
+		}
+	}
+
+	migratedKey := decode[ComposeResponse](t, compose("original", "split")).Key
+	hit := compose("original", "split").Body.Bytes()
+
+	// Registering pq is unrelated to original→split, whose entry
+	// migrates; republishing it unchanged installs new revisions, so
+	// the p→q route changes and its entry drops.
+	const pq = "schema p { P/2; }\nschema q { Q/2; }\nmap pq : p -> q { P <= Q; }\n"
+	register(pq)
+	droppedKey := decode[ComposeResponse](t, compose("p", "q")).Key
+	register(pq)
+	republishedKey := decode[ComposeResponse](t, compose("p", "q")).Key
+	if republishedKey == droppedKey {
+		t.Fatalf("republish kept key %s", droppedKey)
+	}
+
+	// The text format has no dotted identifiers; a hand-built problem
+	// installs from → to through the catalog API.
+	installDotted := func(mapName, from, to string) string {
+		t.Helper()
+		p, err := parser.Parse(fmt.Sprintf("schema a { A/2; }\nschema b { B/2; }\nmap %s : a -> b { A <= B; }\n", mapName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Schemas = map[string]*algebra.Schema{from: p.Schemas["a"], to: p.Schemas["b"]}
+		p.SchemaOrder = []string{from, to}
+		p.Maps[mapName].From, p.Maps[mapName].To = from, to
+		if _, err := s.cat.Apply(p); err != nil {
+			t.Fatal(err)
+		}
+		return decode[ComposeResponse](t, compose(from, to)).Key
+	}
+	dottedKey := installDotted("ab", "x.y", "z.w")
+	// get tries at most maxKeySplits splits: names holding one dot
+	// fewer between them are fetchable, names holding that many are not.
+	dots := strings.Repeat(".", maxKeySplits-2)
+	atCapKey := installDotted("cap", "c"+dots+"c", "d.d")
+	overCapKey := installDotted("over", "e"+dots+"e", "f..f")
+
+	for _, tc := range []struct {
+		name, key string
+		want      int
+	}{
+		{"no dot", "g1originalsplit" + cfg, http.StatusNotFound},
+		{"single dot", "g1.original", http.StatusNotFound},
+		{"non-hex config", "g1.original.split.nothexnothexnot", http.StatusNotFound},
+		{"empty middle", "g1.." + cfg, http.StatusNotFound},
+		{"other config", keyString(1, pairKey{from: "original", to: "split", cfg: s.cfgFP ^ 1}), http.StatusNotFound},
+		{"other route generation", "g9.original.split." + cfg, http.StatusNotFound},
+		{"migrated", migratedKey, http.StatusOK},
+		{"dropped by republish", droppedKey, http.StatusNotFound},
+		{"republished", republishedKey, http.StatusOK},
+		{"dotted schema names", dottedKey, http.StatusOK},
+		{"dotted names at the split cap", atCapKey, http.StatusOK},
+		{"dotted names over the split cap", overCapKey, http.StatusNotFound},
+		// At one map probe per '.' split this key cost minutes.
+		{"1 MiB of dots", "g" + strings.Repeat(".", 1<<20) + "0", http.StatusNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			rec := do(t, s, "GET", "/v1/results/"+tc.key, "")
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("GET of a %d-byte key took %v", len(tc.key), el)
+			}
+			if rec.Code != tc.want {
+				t.Fatalf("GET %.80s: %d %.200s, want %d", tc.key, rec.Code, rec.Body, tc.want)
+			}
+			if rec.Code == http.StatusOK && decode[ComposeResponse](t, rec).Key != tc.key {
+				t.Fatalf("GET %s served %s", tc.key, rec.Body)
+			}
+		})
+	}
+	if rec := do(t, s, "GET", "/v1/results/"+migratedKey, ""); !bytes.Equal(rec.Body.Bytes(), hit) {
+		t.Fatalf("migrated entry served %s, want the hit bytes %s", rec.Body, hit)
+	}
+}
+
+// TestOversizedEntryKeepsShard: a result larger than its shard's whole
+// byte budget is served to its caller but not stored, so it cannot
+// evict the shard's other entries on its way in and out.
+func TestOversizedEntryKeepsShard(t *testing.T) {
+	c := newResultCache(4<<10, 1)
+	put := func(from string) *cacheEntry {
+		t.Helper()
+		ent, kind, err := c.do(context.Background(), pairKey{from: from, to: "b"}, 1,
+			func(context.Context) (*ComposeResponse, *catalog.Route, uint64, error) {
+				return &ComposeResponse{From: from, To: "b", Key: "g1." + from + ".b.0"}, nil, 1, nil
+			})
+		if err != nil || kind != computed {
+			t.Fatalf("put %.8s: kind %v, err %v", from, kind, err)
+		}
+		return ent
+	}
+	small := []string{"a1", "a2", "a3"}
+	for _, from := range small {
+		put(from)
+	}
+	big := strings.Repeat("x", 8<<10)
+	if ent := put(big); ent.resp.From != big {
+		t.Fatal("oversized caller did not get its response")
+	}
+	if c.valid(pairKey{from: big, to: "b"}, 1) {
+		t.Fatal("oversized entry was stored")
+	}
+	for _, from := range small {
+		if !c.valid(pairKey{from: from, to: "b"}, 1) {
+			t.Fatalf("%s evicted by the oversized insert; cache holds %d entries", from, c.len())
+		}
+	}
+}
+
 func TestCatalogEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	rec := do(t, s, "GET", "/v1/catalog", "")
@@ -390,21 +538,38 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestCacheEviction drives more distinct keys than the cache holds and
-// checks the bound.
+// TestCacheEviction drives more distinct pairs than a one-shard cache's
+// byte budget holds and checks that the least recently used pair goes.
 func TestCacheEviction(t *testing.T) {
-	s := New(Config{CacheSize: 2})
-	if rec := do(t, s, "POST", "/v1/register", chainTask); rec.Code != http.StatusOK {
-		t.Fatalf("register: %s", rec.Body)
+	pairs := []string{
+		`{"from":"original","to":"fivestar"}`,
+		`{"from":"original","to":"split"}`,
+		`{"from":"fivestar","to":"split"}`,
 	}
-	// Three distinct pairs through a 2-entry cache: the third insert
+	// Measure the three entries in a roomy cache, then budget a
+	// one-shard cache for the last two. Half an entryOverhead of slack
+	// absorbs the measured durations in the bodies, whose digit counts
+	// vary run to run; every entry is larger than the slack.
+	var sizes [3]int64
+	probe := newTestServer(t)
+	for i, body := range pairs {
+		key := decode[ComposeResponse](t, do(t, probe, "POST", "/v1/compose", body)).Key
+		ent, ok := probe.cache.get(key)
+		if !ok {
+			t.Fatalf("%s not cached", body)
+		}
+		sizes[i] = ent.size
+	}
+	s := newTestServer(t)
+	s.cache = newResultCache(sizes[1]+sizes[2]+entryOverhead/2, 1)
+	// Three distinct pairs through a two-entry budget: the third insert
 	// must evict the least recently used pair, and re-requesting the
 	// evicted pair recomputes.
-	do(t, s, "POST", "/v1/compose", `{"from":"original","to":"fivestar"}`)
-	do(t, s, "POST", "/v1/compose", `{"from":"original","to":"split"}`)
-	do(t, s, "POST", "/v1/compose", `{"from":"fivestar","to":"split"}`)
-	if got := s.cache.len(); got > 2 {
-		t.Fatalf("cache grew to %d entries, bound is 2", got)
+	for _, body := range pairs {
+		do(t, s, "POST", "/v1/compose", body)
+	}
+	if got := s.cache.len(); got != 2 {
+		t.Fatalf("cache holds %d entries, the budget fits 2", got)
 	}
 	if got := s.Stats().Composes; got != 3 {
 		t.Fatalf("composes = %d, want 3", got)

@@ -296,8 +296,8 @@ type CatalogResponse struct {
 // Warmed counts cache entries precomputed by the post-recovery warm-up
 // pass, and Persist carries the durability backend's counters (WAL
 // size, snapshot coverage, recovery summary) when the daemon runs with
-// a data directory. CacheShards is the result cache's shard count
-// (Config.CacheShards, default derived from GOMAXPROCS) and
+// a data directory. CacheShardCount is the result cache's shard count
+// (derived from GOMAXPROCS, fewer for small budgets) and
 // CacheShardEntries the per-shard entry counts, so an operator can see
 // whether the key-hash distribution is balanced.
 //
@@ -306,9 +306,9 @@ type CatalogResponse struct {
 // EntriesMigrated/EntriesDropped the cumulative per-publish split of
 // surviving vs delta-invalidated entries, and DeltaComputeUS the
 // cumulative snapshot shape-diff time in microseconds (the per-entry
-// route checks count as migration). CacheBytes is the
-// exact byte footprint of the cached pre-encoded bodies (the -cache-bytes
-// budget applies to it).
+// route checks count as migration). CacheBytes is the exact byte charge
+// of the cached entries — pre-encoded bodies, keys and per-entry
+// overhead — which the Config.CacheBytes budget bounds.
 type StatsResponse struct {
 	Generation uint64 `json:"generation"`
 	// Requests is derived as CacheHits + Composes + Coalesced from one
@@ -321,7 +321,7 @@ type StatsResponse struct {
 	EliminateAttempts int64 `json:"eliminate_attempts"`
 	CacheEntries      int   `json:"cache_entries"`
 	CacheBytes        int64 `json:"cache_bytes,omitempty"`
-	CacheShards       int   `json:"cache_shards,omitempty"`
+	CacheShardCount   int   `json:"cache_shards,omitempty"`
 	CacheShardEntries []int `json:"cache_shard_entries,omitempty"`
 	Migrations        int64 `json:"migrations,omitempty"`
 	EntriesMigrated   int64 `json:"entries_migrated,omitempty"`

@@ -56,8 +56,9 @@
 //
 // The serving layer applies the same discipline to its result cache:
 // composition results are stored in an N-way sharded cache (shard count
-// a power of two derived from GOMAXPROCS, keys hashed to shards), each
-// shard publishing an immutable copy-on-write view through an atomic
+// a power of two derived from GOMAXPROCS, pairs hashed to shards, one
+// byte budget split across the shards), each shard publishing an
+// immutable copy-on-write view of one pair-keyed map through an atomic
 // pointer, so a cache hit is a lock-free map probe with no cross-shard
 // lock traffic. Entries carry the response pre-encoded in the wire
 // format: hits, coalesced waiters, batch items and result fetches write
@@ -89,8 +90,9 @@
 //   - internal/server is the mapcompd HTTP/JSON API (stdlib net/http):
 //     register schemas and mappings by POSTing the text format, request
 //     single or batched compositions, fetch cached results. Results
-//     live in a bounded sharded cache keyed on (catalog generation,
-//     endpoint pair, config fingerprint) that stores each response
+//     live in a byte-bounded sharded cache keyed on (endpoint pair,
+//     config fingerprint), with the catalog generation as a per-entry
+//     watermark, that stores each response
 //     pre-encoded, so a repeated request against an unchanged catalog
 //     never re-runs ELIMINATE — verified by the server's step-count
 //     instrumentation (/v1/stats) — and never re-encodes the response
@@ -98,7 +100,7 @@
 //     computation per shard.
 //
 //   - cmd/mapcompd wires it together with flags for address, worker
-//     pool width, cache size and sharding, and the compose deadline,
+//     pool width, the cache's byte budget, and the compose deadline,
 //     plus graceful shutdown; examples/service is an end-to-end
 //     walkthrough.
 //
