@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"mapcomp/internal/algebra"
@@ -70,4 +71,80 @@ func BenchmarkCatalogReadParallel(b *testing.B) {
 			}
 		})
 	})
+}
+
+// powerLawSchemas is the schema count of catalog_2k, sockbench's scale
+// workload.
+const powerLawSchemas = 2000
+
+// BenchmarkRoutePowerLaw measures Snap.Route — the catalog stage of
+// every cache miss — on catalog_2k's shape: 2,000 power-law schemas,
+// over 5,000 servable pairs drawn as sockbench draws its compose
+// targets.
+func BenchmarkRoutePowerLaw(b *testing.B) {
+	c, _ := powerLawCatalogOf(b, powerLawSchemas, 1)
+	snap := c.Snap()
+	pairs := servablePairs(snap, rand.New(rand.NewSource(2)), 5000)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		p := pairs[i%len(pairs)]
+		if _, err := snap.Route(p[0], p[1]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+// BenchmarkApplyPowerLaw measures one publish on catalog_2k's shape as
+// sockbench's publisher sends it: one mapping re-registered unchanged
+// together with its two endpoint schemas, so Apply validates, installs
+// three new revisions and freezes a new 2,000-schema snapshot.
+func BenchmarkApplyPowerLaw(b *testing.B) {
+	c, p := powerLawCatalogOf(b, powerLawSchemas, 1)
+	bodies := make([]*parser.Problem, 0, len(p.MapOrder))
+	for _, name := range p.MapOrder {
+		m := p.Maps[name]
+		bodies = append(bodies, &parser.Problem{
+			Schemas:     map[string]*algebra.Schema{m.From: p.Schemas[m.From], m.To: p.Schemas[m.To]},
+			SchemaOrder: []string{m.From, m.To},
+			Maps:        map[string]*parser.MapDecl{name: m},
+			MapOrder:    []string{name},
+		})
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := c.Apply(bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+// TestRouteAllocBound pins the allocations of a servable Snap.Route:
+// the route, its path, hops and mappings, and the chain — none per
+// schema, so the count is the same at 200 and at 2,000 schemas.
+func TestRouteAllocBound(t *testing.T) {
+	const maxAllocs = 8
+	counts := map[int]float64{}
+	for _, n := range []int{200, powerLawSchemas} {
+		c, _ := powerLawCatalogOf(t, n, 1)
+		snap := c.Snap()
+		pairs := servablePairs(snap, rand.New(rand.NewSource(2)), 50)
+		i := 0
+		counts[n] = testing.AllocsPerRun(1000, func() {
+			p := pairs[i%len(pairs)]
+			if _, err := snap.Route(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if counts[n] > maxAllocs {
+			t.Errorf("Snap.Route at %d schemas makes %.0f allocations, bound is %d", n, counts[n], maxAllocs)
+		}
+	}
+	if counts[200] != counts[powerLawSchemas] {
+		t.Errorf("Snap.Route allocations grow with the catalog: %.0f at 200 schemas, %.0f at %d", counts[200], counts[powerLawSchemas], powerLawSchemas)
+	}
 }

@@ -47,7 +47,10 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,12 +162,16 @@ type view struct {
 	mapList    []*MappingEntry
 
 	// schemaIdx assigns each schema a dense index into edges, so BFS
-	// runs over slices instead of maps.
+	// runs over slices instead of maps. Views with the same schema
+	// names share one map.
 	schemaIdx map[string]int
-	// edges is the adjacency by schema index. Per source the registered
-	// edges sort before the derived-inverse ones, each group by mapping
-	// name, so path discovery order — and hence tie-breaks — are
-	// deterministic and forward edges win equal-hop ties.
+	// edges is the adjacency by schema index; every node's list is a
+	// window of one backing array. Per source the registered edges come
+	// before the derived-inverse ones, each group in mapping-name order
+	// (freeze places them so), so path discovery order — and hence
+	// tie-breaks — are deterministic and forward edges win equal-hop
+	// ties. resolve names an edge by its source and its position in
+	// the source's list.
 	edges [][]edge
 
 	// mappings holds one materialized algebra.Mapping per entry, shared
@@ -214,67 +221,104 @@ func (e *edge) prov() Provenance {
 // deterministically, on every snapshot build — never logged or
 // persisted — so existing data directories load unchanged and replay
 // reconstructs the same bidirectional graph.
+//
+// The listings start from prev's sorted ones and are sorted again only
+// when a name was added; when the schema names are prev's, schemaIdx is
+// prev's map. The adjacency is one backing array filled in two passes
+// over the name-sorted mapList, registered edges first and then
+// derived ones, so every node's list comes out in tie-break order
+// without a sort.
 func (v *view) freeze(prev *view) *view {
-	v.schemaList = make([]*SchemaEntry, 0, len(v.schemas))
-	for _, e := range v.schemas {
-		v.schemaList = append(v.schemaList, e)
+	if prev == nil {
+		prev = &view{}
 	}
-	sort.Slice(v.schemaList, func(i, j int) bool { return v.schemaList[i].Name < v.schemaList[j].Name })
-	v.mapList = make([]*MappingEntry, 0, len(v.maps))
-	for _, e := range v.maps {
-		v.mapList = append(v.mapList, e)
+	var renamed bool
+	v.schemaList, renamed = relist(prev.schemaList, prev.schemas, v.schemas, func(e *SchemaEntry) string { return e.Name })
+	v.mapList, _ = relist(prev.mapList, prev.maps, v.maps, func(e *MappingEntry) string { return e.Name })
+	if renamed || prev.schemaIdx == nil {
+		v.schemaIdx = make(map[string]int, len(v.schemaList))
+		for i, e := range v.schemaList {
+			v.schemaIdx[e.Name] = i
+		}
+	} else {
+		v.schemaIdx = prev.schemaIdx
 	}
-	sort.Slice(v.mapList, func(i, j int) bool { return v.mapList[i].Name < v.mapList[j].Name })
-	v.schemaIdx = make(map[string]int, len(v.schemaList))
-	for i, e := range v.schemaList {
-		v.schemaIdx[e.Name] = i
-	}
-	v.edges = make([][]edge, len(v.schemaList))
 	v.mappings = make(map[string]*algebra.Mapping, len(v.mapList))
 	v.inversions = make(map[string]*core.Inversion, len(v.mapList))
-	for _, m := range v.mapList {
+	// off[i+1] counts node i's edges; the prefix sums below then make
+	// node i's list adj[off[i]:off[i+1]]. ends caches per mapList entry
+	// what the two passes place, so they look nothing up by name.
+	off := make([]int, len(v.schemaList)+1)
+	type mapEnds struct {
+		from, to int
+		mat      *algebra.Mapping
+		inv      *core.Inversion
+	}
+	ends := make([]mapEnds, len(v.mapList))
+	for k, m := range v.mapList {
 		from, to := v.schemas[m.From], v.schemas[m.To]
-		if prev != nil && prev.maps[m.Name] == m &&
-			prev.schemas[m.From] == from && prev.schemas[m.To] == to {
-			v.mappings[m.Name] = prev.mappings[m.Name]
-			v.inversions[m.Name] = prev.inversions[m.Name]
-		} else {
-			v.mappings[m.Name] = algebra.NewMapping(from.Schema, to.Schema, m.Constraints)
-			v.inversions[m.Name] = core.Invert(v.mappings[m.Name])
+		mat, inv := prev.mappings[m.Name], prev.inversions[m.Name]
+		if prev.maps[m.Name] != m || prev.schemas[m.From] != from || prev.schemas[m.To] != to {
+			mat = algebra.NewMapping(from.Schema, to.Schema, m.Constraints)
+			inv = core.Invert(mat)
 		}
-		fi, ti := v.schemaIdx[m.From], v.schemaIdx[m.To]
-		v.edges[fi] = append(v.edges[fi], edge{to: ti, m: m, mat: v.mappings[m.Name]})
-		if inv := v.inversions[m.Name]; inv.Invertible() {
-			v.edges[ti] = append(v.edges[ti], edge{to: fi, m: m, inv: true, mat: inv.Mapping})
+		v.mappings[m.Name], v.inversions[m.Name] = mat, inv
+		ends[k] = mapEnds{from: v.schemaIdx[m.From], to: v.schemaIdx[m.To], mat: mat, inv: inv}
+		off[ends[k].from+1]++
+		if inv.Invertible() {
+			off[ends[k].to+1]++
 		}
 	}
-	for _, es := range v.edges {
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].inv != es[j].inv {
-				return !es[i].inv // registered before derived
-			}
-			return es[i].m.Name < es[j].m.Name
-		})
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	adj := make([]edge, off[len(off)-1])
+	v.edges = make([][]edge, len(v.schemaList))
+	for i := range v.edges {
+		v.edges[i] = adj[off[i]:off[i]:off[i+1]]
+	}
+	for k, m := range v.mapList {
+		e := &ends[k]
+		v.edges[e.from] = append(v.edges[e.from], edge{to: e.to, m: m, mat: e.mat})
+	}
+	for k, m := range v.mapList {
+		if e := &ends[k]; e.inv.Invertible() {
+			v.edges[e.to] = append(v.edges[e.to], edge{to: e.from, m: m, inv: true, mat: e.inv.Mapping})
+		}
 	}
 	return v
+}
+
+// relist returns the entries of cur sorted by name. It starts from
+// prevList, prev's sorted listing of the map prev: the names that
+// survive keep their order and take cur's entries, new names are
+// appended, and the list is sorted only when there were new names.
+// renamed reports that the name set differs from prev's.
+func relist[E any](prevList []E, prev, cur map[string]E, name func(E) string) (list []E, renamed bool) {
+	list = make([]E, 0, len(cur))
+	for _, e := range prevList {
+		if c, ok := cur[name(e)]; ok {
+			list = append(list, c)
+		}
+	}
+	renamed = len(list) != len(prevList)
+	if len(list) == len(cur) {
+		return list, renamed
+	}
+	for n, e := range cur {
+		if _, ok := prev[n]; !ok {
+			list = append(list, e)
+		}
+	}
+	slices.SortFunc(list, func(a, b E) int { return strings.Compare(name(a), name(b)) })
+	return list, true
 }
 
 // mutate returns a draft copying the entry maps of v; the caller
 // installs new entries into the draft and freezes it. Entries themselves
 // are immutable and shared between views.
 func (v *view) mutate() *view {
-	next := &view{
-		gen:     v.gen,
-		schemas: make(map[string]*SchemaEntry, len(v.schemas)+1),
-		maps:    make(map[string]*MappingEntry, len(v.maps)+1),
-	}
-	for n, e := range v.schemas {
-		next.schemas[n] = e
-	}
-	for n, e := range v.maps {
-		next.maps[n] = e
-	}
-	return next
+	return &view{gen: v.gen, schemas: maps.Clone(v.schemas), maps: maps.Clone(v.maps)}
 }
 
 // Catalog is the copy-on-write store. The zero value is not usable; use
@@ -536,6 +580,10 @@ func (e *NoPathError) Unwrap() error { return ErrNoPath }
 // ways is always discovered through a registered edge. On a graph with
 // no derived edges the traversal degenerates to the classic FIFO BFS
 // this replaced, preserving its discovery order and tie-breaks exactly.
+// It builds the whole tree in fresh slices, for the callers that read
+// many targets of one source (Pairs, Warm, graphStats and
+// Delta.Invalidated's per-source memo); resolve runs the same search on
+// pooled scratch and stops at its target.
 func (v *view) bfsFrom(src int) (via []*edge, prev []int, order []int) {
 	n := len(v.schemaList)
 	via = make([]*edge, n)
@@ -567,12 +615,40 @@ func (v *view) bfsFrom(src int) (via []*edge, prev []int, order []int) {
 	return via, prev, order
 }
 
+// routeScratch is the working memory of one resolve search, reused
+// through routeScratchPool so a route allocates nothing per schema.
+// Arrays are indexed by schema index and grow to the largest snapshot
+// searched; entries are valid only where stamp equals the current
+// epoch, so a new search starts by bumping the epoch instead of
+// clearing.
+type routeScratch struct {
+	epoch uint32
+	// stamp[x] == epoch marks x as discovered by the current search.
+	stamp []uint32
+	// prev[x] is x's predecessor on the search tree and via[x] the
+	// index of x's discovering edge in edges[prev[x]].
+	prev, via []int32
+	// queue holds the discovered nodes in discovery order, src first;
+	// each level is a contiguous run.
+	queue []int32
+}
+
+// routeScratchPool holds *routeScratch values. Each resolve takes one
+// for the duration of its search, so concurrent readers never share
+// one, even across snapshots of different sizes.
+var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+
 // resolve turns the schema pair from→to into the shortest chain of
 // edges over the bidirectional graph (registered mappings plus derived
 // inverses where the inversion verdicts allow; forward edges win
-// equal-hop ties). On ErrNoPath it returns the partial chain to the
-// schema BFS explored last, wrapped in a NoPathError that also reports
-// whether ignoring invertibility would have connected the pair.
+// equal-hop ties). It runs bfsFrom's level-synchronized search on
+// pooled scratch and stops the moment it discovers to: a node's
+// discovering edge is final once set, and each level's registered pass
+// runs before its derived pass, so the chain is the path bfsFrom's tree
+// holds. When to is unreachable the search sweeps from's whole
+// component; resolve then returns the partial chain to the schema
+// discovered last, wrapped in a NoPathError that also reports whether
+// ignoring invertibility would have connected the pair.
 func (v *view) resolve(from, to string) ([]*edge, error) {
 	if _, ok := v.schemas[from]; !ok {
 		return nil, fmt.Errorf("catalog: %w %s", ErrUnknownSchema, from)
@@ -584,27 +660,62 @@ func (v *view) resolve(from, to string) ([]*edge, error) {
 		return nil, fmt.Errorf("catalog: compose endpoints are the same schema %s", from)
 	}
 	src, dst := v.schemaIdx[from], v.schemaIdx[to]
-	via, prev, order := v.bfsFrom(src)
-	chainTo := func(i int) []*edge {
-		var chain []*edge
-		for x := i; via[x] != nil; x = prev[x] {
-			chain = append(chain, via[x])
-		}
-		for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-			chain[i], chain[j] = chain[j], chain[i]
-		}
-		return chain
+
+	s := routeScratchPool.Get().(*routeScratch)
+	defer routeScratchPool.Put(s)
+	if n := len(v.schemaList); len(s.stamp) < n {
+		s.stamp, s.prev, s.via = make([]uint32, n), make([]int32, n), make([]int32, n)
+		s.queue = make([]int32, 0, n)
 	}
-	if via[dst] != nil {
-		return chainTo(dst), nil
+	if s.epoch++; s.epoch == 0 {
+		// Wrapped: stamps from 2³² searches ago would match again.
+		clear(s.stamp)
+		s.epoch = 1
 	}
-	frontier := src
-	if len(order) > 0 {
-		frontier = order[len(order)-1]
+	s.stamp[src] = s.epoch
+	queue := append(s.queue[:0], int32(src))
+	found := false
+search:
+	for lo := 0; lo < len(queue); {
+		hi := len(queue)
+		for _, derived := range [2]bool{false, true} {
+			for _, h := range queue[lo:hi] {
+				es := v.edges[h]
+				for i := range es {
+					e := &es[i]
+					if e.inv != derived || s.stamp[e.to] == s.epoch {
+						continue
+					}
+					s.stamp[e.to] = s.epoch
+					s.prev[e.to], s.via[e.to] = h, int32(i)
+					queue = append(queue, int32(e.to))
+					if e.to == dst {
+						found = true
+						break search
+					}
+				}
+			}
+		}
+		lo = hi
+	}
+
+	// The chain ends at dst, or at the schema discovered last.
+	end := int(queue[len(queue)-1])
+	hops := 0
+	for x := end; x != src; x = int(s.prev[x]) {
+		hops++
+	}
+	chain := make([]*edge, hops)
+	for x := end; x != src; x = int(s.prev[x]) {
+		hops--
+		chain[hops] = &v.edges[s.prev[x]][s.via[x]]
+	}
+	if found {
+		return chain, nil
 	}
 	npe := &NoPathError{From: from, To: to}
 	npe.ReverseReachable, npe.Blocking = v.reverseReachable(src, dst)
-	return chainTo(frontier), npe
+	return chain, npe
 }
 
 // reverseReachable reports whether dst becomes reachable from src once

@@ -67,9 +67,11 @@ func (r *Route) Mappings() []*algebra.Mapping { return r.ms }
 
 // Route resolves from→to in this snapshot to the shortest chain over
 // the bidirectional graph (see resolve), plus the route generation and
-// per-hop provenance. On a resolution error the returned route carries
-// the partial path BFS explored — the chain to the schema it reached
-// last — and no mappings.
+// per-hop provenance. The search stops at the target, so its cost is
+// the part of the graph within the route's hop count, and it allocates
+// only the route: its scratch is pooled. On a resolution error the
+// returned route carries the partial path the search explored — the
+// chain to the schema it reached last — and no mappings.
 func (s Snap) Route(from, to string) (*Route, error) {
 	v := s.v
 	chain, err := v.resolve(from, to)

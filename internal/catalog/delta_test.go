@@ -267,12 +267,59 @@ func TestDeltaAgreesWithRouteComparison(t *testing.T) {
 // Invalidated — the shape-unchanged pointer check and the per-source
 // BFS comparison — answer both ways.
 func TestDeltaMatchesAllPairsOracle(t *testing.T) {
+	var cells [2][2]int // [shape changed][invalidated]
+	mutationStream(t, func(seed int64, step int, before, after Snap) {
+		d := ComputeDelta(before, after)
+		oracle := allPairsDelta(before, after)
+		shape := 0
+		if d.shapeChanged {
+			shape = 1
+		}
+		for from, to := range before.Pairs() {
+			r := routeOf(t, before, from, to)
+			got := d.Invalidated(r)
+			if want := oracle.Invalidated(from, to); got != want {
+				t.Fatalf("seed %d step %d: %s→%s (path %v) invalidated=%v, all-pairs oracle says %v (shape changed %v)",
+					seed, step, from, to, r.Path, got, want, d.shapeChanged)
+			}
+			if !got {
+				nr := routeOf(t, after, from, to)
+				if !reflect.DeepEqual(nr.Path, r.Path) || nr.Gen != r.Gen {
+					t.Fatalf("seed %d step %d: %s→%s survived but resolves to %v@%d, was %v@%d",
+						seed, step, from, to, nr.Path, nr.Gen, r.Path, r.Gen)
+				}
+			}
+			inv := 0
+			if got {
+				inv = 1
+			}
+			cells[shape][inv]++
+		}
+	})
+	t.Logf("pairs checked [shape unchanged, changed] × [kept, invalidated]: %v", cells)
+	for shape, row := range cells {
+		for inv, n := range row {
+			if n == 0 {
+				t.Fatalf("no pair with shape changed=%v and invalidated=%v: the streams miss a case", shape == 1, inv == 1)
+			}
+		}
+	}
+}
+
+// mutationStream runs the randomized mutation streams: 40 seeds, each
+// a 12-schema, 12-mapping catalog followed by 60 mutations that mix new
+// schemas, new mappings (invertible and containment), mapping-only
+// republishes that may flip invertibility or move an endpoint,
+// republishes together with both endpoint schemas, and schema-only
+// re-registrations. visit sees the snapshots on either side of every
+// mutation.
+func mutationStream(t *testing.T, visit func(seed int64, step int, before, after Snap)) {
+	t.Helper()
 	const (
 		seeds   = 40
 		steps   = 60
 		schemas = 12
 	)
-	var cells [2][2]int // [shape changed][invalidated]
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := New()
@@ -344,40 +391,7 @@ func TestDeltaMatchesAllPairsOracle(t *testing.T) {
 				}
 			}
 			after := c.Snap()
-			d := ComputeDelta(before, after)
-			oracle := allPairsDelta(before, after)
-			shape := 0
-			if d.shapeChanged {
-				shape = 1
-			}
-			for from, to := range before.Pairs() {
-				r := routeOf(t, before, from, to)
-				got := d.Invalidated(r)
-				if want := oracle.Invalidated(from, to); got != want {
-					t.Fatalf("seed %d step %d: %s→%s (path %v) invalidated=%v, all-pairs oracle says %v (shape changed %v)",
-						seed, step, from, to, r.Path, got, want, d.shapeChanged)
-				}
-				if !got {
-					nr := routeOf(t, after, from, to)
-					if !reflect.DeepEqual(nr.Path, r.Path) || nr.Gen != r.Gen {
-						t.Fatalf("seed %d step %d: %s→%s survived but resolves to %v@%d, was %v@%d",
-							seed, step, from, to, nr.Path, nr.Gen, r.Path, r.Gen)
-					}
-				}
-				inv := 0
-				if got {
-					inv = 1
-				}
-				cells[shape][inv]++
-			}
-		}
-	}
-	t.Logf("pairs checked [shape unchanged, changed] × [kept, invalidated]: %v", cells)
-	for shape, row := range cells {
-		for inv, n := range row {
-			if n == 0 {
-				t.Fatalf("no pair with shape changed=%v and invalidated=%v: the streams miss a case", shape == 1, inv == 1)
-			}
+			visit(seed, step, before, after)
 		}
 	}
 }
